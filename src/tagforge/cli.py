@@ -21,7 +21,7 @@ from .engine import (
     trace_to_json,
 )
 from .formulas import parse_formula, render_formula
-from .lemmas import ChainProof, LemmaReport, run_lemma
+from .lemmas import ChainProof, LemmaReport, _default_p0, run_lemma
 from .reduction import build_reduction, bundle_to_json
 from .tags import Halted, parse_tag_system, tag_reaches, tag_run
 
@@ -162,13 +162,6 @@ def _cmd_tag_reach(args) -> int:
         args.format,
     )
     return 0
-
-
-def _default_p0():
-    from .lemmas import WEAKENING_AXIOM
-    from .engine import Calculus
-
-    return Calculus("weakening", (WEAKENING_AXIOM,))
 
 
 def _cmd_reduce(args) -> int:

@@ -15,8 +15,9 @@ right-nested chain of the reserved variable p (chain length is the letter's
 index, a=1 ... z=26); a word is encoded as the set of all dot-bracketings of
 its letter codes, so a word of length n has catalan(n-1) code members.
 
-Everything is pure and cached; formulas returned for equal arguments are the
-same objects, which keeps structural comparisons cheap downstream.
+Everything is pure.  The term kernel interns every formula, so equal
+arguments give the same formula objects whether or not a result comes from
+the `lru_cache`s here; the caches only save rebuilding them.
 """
 
 from __future__ import annotations

@@ -3,13 +3,19 @@
 Formulas are binary implication trees over named variables and are the sole
 term language of the package.  Everything here is pure: substitution,
 unification (with occurs check), one-sided instance matching, and renaming
-helpers.  All values are immutable and safe to share across threads.
+helpers.
+
+Formula values are immutable and interned (hash-consed): constructing a
+formula returns the existing object when a structurally equal one is alive,
+so structural equality is object identity and `==` and `hash` are the
+default identity ones.  The intern tables are module-global and not locked;
+the package runs on one thread.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import weakref
 
 __all__ = [
     "Formula",
@@ -40,79 +46,55 @@ class FormulaSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+def _immutable(self, *args):
+    raise AttributeError(f"{type(self).__name__} nodes are interned and immutable")
+
+
 class Var:
-    """A propositional variable."""
+    """A propositional variable; one object per name."""
 
-    name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        if not _IDENT.fullmatch(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
-        object.__setattr__(self, "_hash", hash(("v", self.name)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return type(other) is Var and other.name == self.name
+    def __new__(cls, name: str) -> "Var":
+        node = _VARS.get(name)
+        if node is None:
+            if not _IDENT.fullmatch(name):
+                raise ValueError(f"invalid variable name: {name!r}")
+            node = object.__new__(cls)
+            object.__setattr__(node, "name", name)
+            _VARS[name] = node
+        return node
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Imp:
-    """An implication node."""
+    """An implication node; one object per (left, right) pair."""
 
-    left: "Formula"
-    right: "Formula"
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("left", "right", "__weakref__")
+    __setattr__ = __delattr__ = _immutable
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("i", self.left._hash, self.right._hash))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if type(other) is not Imp or other._hash != self._hash:
-            return False
-        # Iterative structural walk.  Encoded formulas share subtrees heavily
-        # (they are small DAGs but huge trees), so identical nodes
-        # short-circuit and already-compared pairs are skipped.
-        stack = [(self, other)]
-        seen: set[tuple[int, int]] = set()
-        while stack:
-            a, b = stack.pop()
-            if a is b:
-                continue
-            if type(a) is not type(b):
-                return False
-            if type(a) is Var:
-                if a.name != b.name:
-                    return False
-                continue
-            if a._hash != b._hash:
-                return False
-            key = (id(a), id(b))
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.append((a.right, b.right))
-            stack.append((a.left, b.left))
-        return True
+    def __new__(cls, left: "Formula", right: "Formula") -> "Imp":
+        key = (left, right)
+        node = _IMPS.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "left", left)
+            object.__setattr__(node, "right", right)
+            _IMPS[key] = node
+        return node
 
     def __repr__(self) -> str:
         return f"Imp({self.left!r}, {self.right!r})"
 
+
+# Intern tables.  An Imp key holds interned children, so one lookup decides
+# structural equality.  Values are weak: a closure run builds and drops
+# millions of intermediate formulas, and a strong table would keep them alive.
+_VARS: weakref.WeakValueDictionary[str, Var] = weakref.WeakValueDictionary()
+_IMPS: weakref.WeakValueDictionary[tuple, Imp] = weakref.WeakValueDictionary()
 
 Formula = Var | Imp
 
@@ -283,8 +265,6 @@ def unify(a: Formula, b: Formula) -> Substitution | None:
             if key in seen:
                 continue
             seen.add(key)
-            if s == t:
-                continue
             stack.append((s.right, t.right))
             stack.append((s.left, t.left))
     memo: dict[int, Formula] = {}
@@ -326,7 +306,7 @@ def match_instance(candidate: Formula, pattern: Formula) -> Substitution | None:
             prev = binds.get(p.name)
             if prev is None:
                 binds[p.name] = c
-            elif not (prev is c or prev == c):
+            elif prev is not c:
                 return None
         else:
             if type(c) is not Imp:

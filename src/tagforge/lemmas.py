@@ -34,8 +34,10 @@ from .engine import (
     Derivable,
     DerivationTrace,
     GeneratorCapError,
+    NotFoundWithinBudget,
     chain_check,
     check_trace,
+    closure_level,
     closure_levels,
     derive_weakening,
     derives,
@@ -407,10 +409,6 @@ def build_run_chain(
 # --- closure characterization ----------------------------------------------
 
 
-def _closure_up_to(calc: Calculus, n: int, cap: int | None):
-    return next(islice(closure_levels(calc, cap=cap), n, None))
-
-
 def check_production(
     t: TagSystem,
     p0: Calculus,
@@ -433,7 +431,7 @@ def check_production(
     pt = build_PT(t, h)
     base = Calculus("productions+input", pt.axioms + code_word(h, alpha).formulas)
     try:
-        top = _closure_up_to(base, n, cap)
+        top = closure_level(base, n, cap=cap)
     except GeneratorCapError as e:
         return LemmaReport("lemma9", instance, "inconclusive-budget", {"reason": str(e)})
     unclassified = []
@@ -455,7 +453,7 @@ def check_production(
     bundle = build_reduction(t, p0, alpha, (h,) + default_hat_candidates())
     try:
         guard = first_short_code_level(bundle, n, cap=cap)
-        top_full = _closure_up_to(bundle.full, n, cap)
+        top_full = closure_level(bundle.full, n, cap=cap)
     except GeneratorCapError as e:
         return LemmaReport("lemma9", instance, "inconclusive-budget", {"reason": str(e)})
     limit = guard if guard is not None else n + 1
@@ -519,11 +517,13 @@ def check_halting_equivalence(
     cap: int | None = None,
 ) -> LemmaReport:
     """Forward: a halting run must make every target axiom derivable from the
-    reduction bundle, with traces the independent checker accepts.  When the
-    run does not halt within budget the reverse direction is undecidable at
-    desk scale, so the check instead requires the closure characterization to
-    hold at every explored level and every target axiom to stay out of reach;
-    that outcome is reported as inconclusive, not as pass.
+    reduction bundle, with traces the independent checker accepts.  An axiom
+    not found within `budget` closure levels is a budget miss, reported as
+    inconclusive.  When the run does not halt within budget the reverse
+    direction is undecidable at desk scale, so the check instead requires the
+    closure characterization to hold at every explored level and every target
+    axiom to stay out of reach; that outcome is reported as inconclusive, not
+    as pass.
     """
     if not p0.axioms:
         raise ValueError("target calculus must be nonempty")
@@ -536,14 +536,26 @@ def check_halting_equivalence(
         artifacts = []
         for a in p0.axioms:
             verdict = derives(bundle.full, a, budget, cap=cap)
-            if not isinstance(verdict, Derivable) or not check_trace(
-                bundle.full, verdict.trace, a
-            ):
+            if isinstance(verdict, NotFoundWithinBudget):
+                # The step budget doubles as the closure depth, and a run can
+                # halt within it while the derivation needs more levels.
+                return LemmaReport(
+                    "lemma11",
+                    instance,
+                    "inconclusive-budget",
+                    {
+                        "direction": "halting",
+                        "underived_axiom": render_formula(a),
+                        "depth": verdict.depth,
+                        "halt_steps": outcome.steps,
+                    },
+                )
+            if not check_trace(bundle.full, verdict.trace, a):
                 return LemmaReport(
                     "lemma11",
                     instance,
                     "fail",
-                    {"underived_axiom": render_formula(a)},
+                    {"axiom": render_formula(a), "reason": "trace rejected"},
                 )
             artifacts.append((f"trace[{render_formula(a)}]", verdict.trace))
         return LemmaReport(

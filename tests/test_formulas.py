@@ -1,4 +1,8 @@
-"""Term kernel tests: grammar round-trips, substitution, unification laws."""
+"""Term kernel tests: interning, grammar round-trips, substitution,
+unification laws."""
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,41 @@ from tagforge.formulas import (
 )
 
 p = parse_formula
+
+
+def test_interned_nodes_are_identical():
+    a, b = Var("a"), Var("b")
+    assert Var("a") is a
+    assert Imp(a, b) is Imp(a, b)
+    assert p("(a -> b) -> a") is Imp(Imp(a, b), a)
+    assert Imp(a, b) is not Imp(b, a)
+
+
+def test_invalid_variable_name_rejected():
+    with pytest.raises(ValueError):
+        Var("X")
+    with pytest.raises(ValueError):
+        Var("")
+
+
+def test_nodes_are_immutable():
+    f = p("a -> b")
+    with pytest.raises(AttributeError):
+        f.left = Var("c")
+    with pytest.raises(AttributeError):
+        del f.right
+    with pytest.raises(AttributeError):
+        Var("a").name = "b"
+    assert f is p("a -> b") and f.left is Var("a")
+
+
+def test_unheld_node_leaves_intern_table():
+    ref = weakref.ref(p("unheld_left -> unheld_right"))
+    gc.collect()
+    assert ref() is None
+    # Rebuilding gives a fresh object that is interned again.
+    f = p("unheld_left -> unheld_right")
+    assert p("unheld_left -> unheld_right") is f
 
 
 def test_parse_right_associative():
@@ -129,7 +168,7 @@ _substs = st.dictionaries(_names, _formulas, max_size=3)
 
 @given(_formulas)
 def test_parse_render_round_trip(f):
-    assert parse_formula(render_formula(f)) == f
+    assert parse_formula(render_formula(f)) is f
 
 
 @given(_formulas, _formulas)

@@ -28,7 +28,7 @@ from tagforge.lemmas import (
     shrinking_system,
 )
 from tagforge.reduction import build_PT, build_reduction, rebracketing_axioms, words_of_length
-from tagforge.tags import tag_reaches, tag_run, tag_step
+from tagforge.tags import parse_tag_system, tag_reaches, tag_run, tag_step
 
 p = parse_formula
 H = DEFAULT_HAT
@@ -237,14 +237,23 @@ def test_lemma11_non_halting_is_inconclusive():
     assert report.witness["production_verdict"] == "pass"
 
 
+def test_lemma11_budget_miss_is_inconclusive():
+    # The run halts in exactly `budget` steps, but the derivation needs more
+    # closure levels than that: a budget miss, not a failure.
+    t = parse_tag_system("d=2\na -> ba\nb -> b\n")
+    report = check_halting_equivalence(t, K_CALC, "baa", 3)
+    assert report.verdict == "inconclusive-budget"
+    assert report.witness["direction"] == "halting"
+    assert report.witness["depth"] == 3
+    assert check_halting_equivalence(t, K_CALC, "baa", 5).verdict == "pass"
+
+
 def test_lemma11_rejects_empty_target():
     with pytest.raises(ValueError):
         check_halting_equivalence(shrinking_system(), Calculus("empty", ()), "aa", 4)
 
 
 def test_lemma11_requires_deletion_two():
-    from tagforge.tags import parse_tag_system
-
     with pytest.raises(ValueError):
         check_halting_equivalence(
             parse_tag_system("d=1\na -> a\n"), K_CALC, "aa", 4
