@@ -299,6 +299,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError, TypeError, GeneratorCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # The parser is iterative; rendering and some kernel walks recurse.
+        print("error: formula nested too deeply", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "catalan",
     "choose_hat",
     "circ",
-    "circ_general",
     "code_letter",
     "code_word",
     "decode",
@@ -116,22 +115,6 @@ def circ(h: HatTemplate, a: Formula, b: Formula) -> Formula:
     ha = hat_at(h, a)
     pivot = Imp(Imp(hb, hb), hb)
     return Imp(pivot, Imp(ha, pivot))
-
-
-def circ_general(h: HatTemplate, inner: Formula, a: Formula, b: Formula) -> Formula:
-    """circ with the middle antecedent built from `inner` instead of a alone:
-    every variable of `inner` is replaced by the template applied at a.
-
-    `inner` must not contain the variable x, which is claimed by the template
-    itself.
-    """
-    if "x" in variables(inner):
-        raise ValueError("inner formula must not contain the variable x")
-    ha = hat_at(h, a)
-    mid = apply_substitution({v: ha for v in variables(inner)}, inner)
-    hb = hat_at(h, b)
-    pivot = Imp(Imp(hb, hb), hb)
-    return Imp(pivot, Imp(mid, pivot))
 
 
 def letter_index(letter: str) -> int:
@@ -216,8 +199,6 @@ def _bracketings(h: HatTemplate, word: str) -> tuple[AlphabeticFormula, ...]:
     if len(word) == 1:
         return (letter_code(h, word),)
     out = []
-    # Split points ascending, then left alternatives, then right: this makes
-    # members[0] the fully right-nested bracketing.
     for split in range(1, len(word)):
         for left in _bracketings(h, word[:split]):
             for right in _bracketings(h, word[split:]):
@@ -234,8 +215,17 @@ def code_word(h: HatTemplate, word: str) -> WordCode:
 
 
 def right_nested(h: HatTemplate, word: str) -> AlphabeticFormula:
-    """The fully right-nested bracketing, the spine form chains normalize to."""
-    return code_word(h, word).members[0]
+    """The fully right-nested bracketing, the spine form chains normalize to.
+
+    Built letter by letter from the right, without enumerating the other
+    bracketings.
+    """
+    if not word:
+        raise ValueError("cannot encode the empty word")
+    spine = letter_code(h, word[-1])
+    for letter in reversed(word[:-1]):
+        spine = dot_code(h, letter_code(h, letter), spine)
+    return spine
 
 
 def _unhat(h: HatTemplate, f: Formula) -> Formula | None:

@@ -164,7 +164,8 @@ class NotFoundWithinBudget:
 
 
 def condensed_detach(major: Formula, minor: Formula) -> Formula | None:
-    """Most general consequent of modus ponens between the two formulas.
+    """Most general consequent of modus ponens between the two formulas: the
+    one-step rule that `closure_levels` applies to every pair of generators.
 
     None when the major is not an implication or its antecedent does not
     unify with the (renamed-apart) minor.  The result's variables are renamed
@@ -433,16 +434,38 @@ def calculus_to_json(calc: Calculus) -> dict:
     return {"label": calc.label, "axioms": [render_formula(a) for a in calc.axioms]}
 
 
+_JSON_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _field(obj, key: str, kind: type, where: str):
+    """obj[key], required to be of JSON type `kind`; errors name `where`."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where} must be an object")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    value = obj[key]
+    if type(value) is not kind:
+        raise ValueError(f"{where}: field {key!r} must be {_JSON_KINDS[kind]}")
+    return value
+
+
 def calculus_from_json(obj: dict) -> Calculus:
-    return Calculus(obj["label"], tuple(parse_formula(a) for a in obj["axioms"]))
+    label = _field(obj, "label", str, "calculus")
+    axioms = _field(obj, "axioms", list, "calculus")
+    if any(type(a) is not str for a in axioms):
+        raise ValueError("calculus: field 'axioms' must hold formula strings")
+    return Calculus(label, tuple(parse_formula(a) for a in axioms))
 
 
 def _subst_to_json(subst: Mapping[str, Formula]) -> dict:
     return {name: render_formula(f) for name, f in sorted(subst.items())}
 
 
-def _subst_from_json(obj: Mapping[str, str]) -> Substitution:
-    return {name: parse_formula(text) for name, text in obj.items()}
+def _subst_from_json(obj, key: str, where: str) -> Substitution:
+    texts = _field(obj, key, dict, where)
+    if any(type(t) is not str for t in texts.values()):
+        raise ValueError(f"{where}: field {key!r} must map names to formula strings")
+    return {name: parse_formula(text) for name, text in texts.items()}
 
 
 def trace_to_json(trace: DerivationTrace) -> dict:
@@ -471,27 +494,31 @@ def trace_to_json(trace: DerivationTrace) -> dict:
 
 
 def trace_from_json(obj: dict) -> DerivationTrace:
+    """Read the trace format; a missing or mistyped field is a ValueError
+    that names the step and the field."""
     steps: list[TraceStep] = []
-    for raw in obj["steps"]:
-        if raw["kind"] == "axiom":
+    for i, raw in enumerate(_field(obj, "steps", list, "trace")):
+        where = f"trace step {i}"
+        kind = _field(raw, "kind", str, where)
+        if kind == "axiom":
             steps.append(
                 AxiomStep(
-                    raw["axiom"],
-                    _subst_from_json(raw["substitution"]),
-                    parse_formula(raw["result"]),
+                    _field(raw, "axiom", int, where),
+                    _subst_from_json(raw, "substitution", where),
+                    parse_formula(_field(raw, "result", str, where)),
                 )
             )
-        elif raw["kind"] == "detach":
+        elif kind == "detach":
             steps.append(
                 DetachStep(
-                    raw["major"],
-                    raw["minor"],
-                    _subst_from_json(raw["unifier"]),
-                    parse_formula(raw["result"]),
+                    _field(raw, "major", int, where),
+                    _field(raw, "minor", int, where),
+                    _subst_from_json(raw, "unifier", where),
+                    parse_formula(_field(raw, "result", str, where)),
                 )
             )
         else:
-            raise ValueError(f"unknown trace step kind: {raw['kind']!r}")
+            raise ValueError(f"{where}: unknown trace step kind: {kind!r}")
     return DerivationTrace(tuple(steps))
 
 

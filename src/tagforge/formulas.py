@@ -31,7 +31,6 @@ __all__ = [
     "rename_apart",
     "render_formula",
     "unify",
-    "unify_apart",
     "variables",
 ]
 
@@ -113,37 +112,45 @@ def parse_formula(text: str) -> Formula:
     """Parse `->` as right-associative implication over lowercase identifiers.
 
     Grammar: formula := atom | atom "->" formula; atom := ident | "(" formula ")".
+    The parser keeps an explicit stack, one entry per open parenthesis, so
+    nesting depth is bounded by memory, not by the interpreter's recursion
+    limit.
     """
-    f, i = _parse_imp(text, 0)
-    i = _skip_ws(text, i)
-    if i != len(text):
-        raise FormulaSyntaxError("unexpected trailing input", i)
-    return f
-
-
-def _parse_imp(text: str, i: int) -> tuple[Formula, int]:
-    left, i = _parse_atom(text, i)
-    j = _skip_ws(text, i)
-    if text.startswith("->", j):
-        right, k = _parse_imp(text, j + 2)
-        return Imp(left, right), k
-    return left, j
-
-
-def _parse_atom(text: str, i: int) -> tuple[Formula, int]:
-    i = _skip_ws(text, i)
-    if i >= len(text):
-        raise FormulaSyntaxError("formula expected", i)
-    if text[i] == "(":
-        f, j = _parse_imp(text, i + 1)
-        j = _skip_ws(text, j)
-        if j >= len(text) or text[j] != ")":
-            raise FormulaSyntaxError("')' expected", j)
-        return f, j + 1
-    m = _IDENT.match(text, i)
-    if m is None:
-        raise FormulaSyntaxError("identifier or '(' expected", i)
-    return Var(m.group()), m.end()
+    n = len(text)
+    # The atoms of each unfinished `a -> b -> ...` chain: the whole formula's
+    # at the bottom, then one per open parenthesis.
+    chains: list[list[Formula]] = [[]]
+    i = 0
+    while True:
+        i = _skip_ws(text, i)
+        if i >= n:
+            raise FormulaSyntaxError("formula expected", i)
+        if text[i] == "(":
+            chains.append([])
+            i += 1
+            continue
+        m = _IDENT.match(text, i)
+        if m is None:
+            raise FormulaSyntaxError("identifier or '(' expected", i)
+        atom: Formula = Var(m.group())
+        i = m.end()
+        while True:
+            chains[-1].append(atom)
+            i = _skip_ws(text, i)
+            if text.startswith("->", i):
+                i += 2
+                break
+            chain = chains.pop()
+            atom = chain.pop()
+            while chain:
+                atom = Imp(chain.pop(), atom)
+            if not chains:
+                if i != n:
+                    raise FormulaSyntaxError("unexpected trailing input", i)
+                return atom
+            if i >= n or text[i] != ")":
+                raise FormulaSyntaxError("')' expected", i)
+            i += 1
 
 
 def render_formula(f: Formula) -> str:
@@ -232,10 +239,11 @@ def _occurs(name: str, t: Formula, subst: dict[str, Formula]) -> bool:
 def unify(a: Formula, b: Formula) -> Substitution | None:
     """Most general unifier of a and b, or None.
 
-    Variables are shared as written; use unify_apart when the inputs should be
-    treated as independent.  The result is idempotent, with bindings sorted by
-    variable name.  The occurs check is mandatory: solutions must be finite
-    formulas, so cyclic bindings are rejected.
+    Variables are shared as written; to treat the inputs as independent,
+    unify a with rename_apart(b, set(variables(a))).  The result is
+    idempotent, with bindings sorted by variable name.  The occurs check is
+    mandatory: solutions must be finite formulas, so cyclic bindings are
+    rejected.
     """
     subst: dict[str, Formula] = {}
     stack = [(a, b)]
@@ -282,15 +290,6 @@ def _resolve(t: Formula, subst: dict[str, Formula], memo: dict[int, Formula]) ->
         r = t if left is t.left and right is t.right else Imp(left, right)
         memo[id(t)] = r
     return r
-
-
-def unify_apart(a: Formula, b: Formula) -> Substitution | None:
-    """Unify after renaming b's clashing variables away from a's.
-
-    Convenience for comparing independently-stated formulas; the returned
-    substitution is over a's variables and the renamed copies of b's.
-    """
-    return unify(a, rename_apart(b, set(variables(a))))
 
 
 def match_instance(candidate: Formula, pattern: Formula) -> Substitution | None:

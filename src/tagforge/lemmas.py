@@ -56,8 +56,8 @@ from .reduction import (
     ReductionBundle,
     build_PT,
     build_reduction,
-    production_axioms,
     rebracketing_axioms,
+    short_code_members,
     t_alpha_member,
     words_of_length,
 )
@@ -66,10 +66,8 @@ from .tags import Halted, TagSystem, parse_tag_system, tag_run, tag_step
 __all__ = [
     "LemmaReport",
     "WEAKENING_AXIOM",
-    "bounded_chain_search",
     "build_chain_lemma6",
     "build_chain_lemma7",
-    "build_chains_lemma6",
     "build_run_chain",
     "check_halting_equivalence",
     "check_inclusion",
@@ -290,15 +288,33 @@ def _invert(link: _Link) -> _Link:
     return _Link(_INVERSE_ROTATION[link.axiom], link.subst, link.target, link.source)
 
 
-def _links_to_chain(
-    source: AlphabeticFormula, links: list[_Link], axiom_offset: int
+def _axiom_index(calc: Calculus) -> dict[Formula, int]:
+    """Position of each axiom's first occurrence in the calculus."""
+    index: dict[Formula, int] = {}
+    for i, ax in enumerate(calc.axioms):
+        index.setdefault(ax, i)
+    return index
+
+
+def _rotation_chain(
+    h: HatTemplate,
+    source: AlphabeticFormula,
+    target: AlphabeticFormula,
+    index: dict[Formula, int],
 ) -> ChainProof:
+    """build_chain_lemma6 with link axioms numbered by `index`, the axiom
+    index of the calculus that checks the chain."""
+    if source.word != target.word:
+        raise ValueError("source and target must encode the same word")
+    links = _chain_to_spine(h, source)
+    links += [_invert(l) for l in reversed(_chain_to_spine(h, target))]
+    positions = [index[ax] for ax in rebracketing_axioms(h)]
     waypoints = [source.formula] + [l.target.formula for l in links]
     traces = tuple(
         DerivationTrace(
             (
                 AxiomStep(
-                    axiom_offset + l.axiom,
+                    positions[l.axiom],
                     l.subst,
                     Imp(l.source.formula, l.target.formula),
                 ),
@@ -310,35 +326,13 @@ def _links_to_chain(
 
 
 def build_chain_lemma6(
-    h: HatTemplate,
-    source: AlphabeticFormula,
-    target: AlphabeticFormula,
-    *,
-    axiom_offset: int = 0,
+    h: HatTemplate, source: AlphabeticFormula, target: AlphabeticFormula
 ) -> ChainProof:
     """A chain from one bracketing of a word to another, using only the
-    rebracketing axioms: normalize the source to the right-nested spine, then
-    run the target's own normalization backwards.
-
-    With the default offset the links are checkable against
-    rebracketing_calculus(h); pass the rotation group's position for a larger
-    calculus.
-    """
-    if source.word != target.word:
-        raise ValueError("source and target must encode the same word")
-    links = _chain_to_spine(h, source)
-    links += [_invert(l) for l in reversed(_chain_to_spine(h, target))]
-    return _links_to_chain(source, links, axiom_offset)
-
-
-def build_chains_lemma6(
-    h: HatTemplate, source: AlphabeticFormula, *, axiom_offset: int = 0
-) -> list[ChainProof]:
-    """Chains from one bracketing to every bracketing of its word."""
-    return [
-        build_chain_lemma6(h, source, target, axiom_offset=axiom_offset)
-        for target in code_word(h, source.word).members
-    ]
+    rebracketing axioms and checkable against rebracketing_calculus(h):
+    normalize the source to the right-nested spine, then run the target's own
+    normalization backwards."""
+    return _rotation_chain(h, source, target, _axiom_index(rebracketing_calculus(h)))
 
 
 # --- production chains ------------------------------------------------------
@@ -354,11 +348,15 @@ def build_chain_lemma7(t: TagSystem, h: HatTemplate, word: str) -> ChainProof:
     one production axiom fires with the tail bound to the scheme variable,
     and the result is rebracketed to the spine.
     """
+    return _production_chain(t, h, word, _axiom_index(build_PT(t, h)))
+
+
+def _production_chain(
+    t: TagSystem, h: HatTemplate, word: str, index: dict[Formula, int]
+) -> ChainProof:
     nxt = tag_step(t, word)
     if nxt is None:
         raise ValueError(f"tag system not applicable to {word!r}")
-    t1, t2 = production_axioms(t, h)
-    rotation_offset = len(t1) + len(t2)
     d = t.deletion
     head, beta = word[:d], word[d:]
     omega = t.productions[word[0]]
@@ -366,25 +364,23 @@ def build_chain_lemma7(t: TagSystem, h: HatTemplate, word: str) -> ChainProof:
     target = right_nested(h, nxt)
     if not beta:
         axiom = Imp(source.formula, target.formula)
-        idx = len(t1) + t2.index(axiom)
-        link = DerivationTrace((AxiomStep(idx, {}, axiom),))
+        link = DerivationTrace((AxiomStep(index[axiom], {}, axiom),))
         return ChainProof((source.formula, target.formula), (link,))
     head_rn = right_nested(h, head)
     beta_rn = right_nested(h, beta)
     omega_rn = right_nested(h, omega)
     split = dot_code(h, head_rn, beta_rn)
     successor = dot_code(h, beta_rn, omega_rn)
-    first = build_chain_lemma6(h, source, split, axiom_offset=rotation_offset)
+    first = _rotation_chain(h, source, split, index)
     axiom = Imp(
         dot(h, head_rn.formula, Var("x")), dot(h, Var("x"), omega_rn.formula)
     )
-    idx = t1.index(axiom)
     subst = {"x": beta_rn.formula}
-    step = AxiomStep(idx, subst, Imp(split.formula, successor.formula))
+    step = AxiomStep(index[axiom], subst, Imp(split.formula, successor.formula))
     middle = ChainProof(
         (split.formula, successor.formula), (DerivationTrace((step,)),)
     )
-    last = build_chain_lemma6(h, successor, target, axiom_offset=rotation_offset)
+    last = _rotation_chain(h, successor, target, index)
     return ChainProof.concat([first, middle, last])
 
 
@@ -393,12 +389,13 @@ def build_run_chain(
 ) -> ChainProof:
     """Concatenation of per-production chains along the run from `word`,
     stopping at the halt word or when the budget runs out."""
+    index = _axiom_index(build_PT(t, h))
     chains: list[ChainProof] = []
     current = word
     for _ in range(max_steps):
         if len(current) < t.deletion:
             break
-        chains.append(build_chain_lemma7(t, h, current))
+        chains.append(_production_chain(t, h, current, index))
         current = tag_step(t, current)
     if not chains:
         start = right_nested(h, word).formula
@@ -488,10 +485,7 @@ def first_short_code_level(
     (instance in either direction), or None within the budget."""
     if max_level < 0:
         raise ValueError("max_level must be nonnegative")
-    shorts: list[Formula] = []
-    for length in range(1, bundle.tag.deletion):
-        for word in words_of_length(bundle.tag.alphabet, length):
-            shorts.extend(code_word(bundle.hat, word).formulas)
+    shorts = short_code_members(bundle.tag, bundle.hat)
     for lvl in islice(closure_levels(bundle.full, cap=cap), max_level + 1):
         for g in lvl.generators:
             if g.level != lvl.level:
@@ -598,7 +592,7 @@ def check_inclusion(t: TagSystem, h: HatTemplate) -> LemmaReport:
     """Every production-calculus axiom has a checkable derivation from the
     weakening axiom alone: either directly as an instance, or by deriving the
     consequent and weakening it under the antecedent."""
-    calc = Calculus("weakening", (WEAKENING_AXIOM,))
+    calc = _default_p0()
     pt = build_PT(t, h)
     for ax in pt.axioms:
         sub = match_instance(ax, WEAKENING_AXIOM)
@@ -628,74 +622,6 @@ def check_inclusion(t: TagSystem, h: HatTemplate) -> LemmaReport:
     return LemmaReport(
         "lemma12", instance, "pass", {"axioms": len(pt.axioms)}, {}, ()
     )
-
-
-# --- bounded chain search (converse of the simulation) -----------------------
-
-
-def bounded_chain_search(
-    t: TagSystem,
-    h: HatTemplate,
-    source_word: str,
-    target_word: str,
-    max_word_len: int,
-    *,
-    max_nodes: int = 50_000,
-) -> bool:
-    """Breadth-first search for a chain of single production-calculus axiom
-    instances from a code member of source_word to one of target_word,
-    with all waypoints alphabetic and words bounded by max_word_len."""
-    targets = set(code_word(h, target_word).members)
-    frontier = list(code_word(h, source_word).members)
-    seen = set(frontier)
-    while frontier:
-        nxt: list[AlphabeticFormula] = []
-        for node in frontier:
-            for neighbor in _axiom_moves(t, h, node):
-                if len(neighbor.word) > max_word_len or neighbor in seen:
-                    continue
-                if neighbor in targets:
-                    return True
-                seen.add(neighbor)
-                nxt.append(neighbor)
-                if len(seen) > max_nodes:
-                    raise GeneratorCapError(0, len(seen), max_nodes)
-        frontier = nxt
-    return False
-
-
-def _axiom_moves(
-    t: TagSystem, h: HatTemplate, af: AlphabeticFormula
-) -> list[AlphabeticFormula]:
-    out: list[AlphabeticFormula] = []
-    if not af.is_letter:
-        left, right = af.left, af.right
-        if not right.is_letter:  # rotate at the root, leftwards
-            out.append(dot_code(h, dot_code(h, left, right.left), right.right))
-        if not left.is_letter:  # rotate at the root, rightwards
-            out.append(dot_code(h, left.left, dot_code(h, left.right, right)))
-            if not left.right.is_letter:  # rotate inside the left factor
-                out.append(
-                    dot_code(
-                        h,
-                        dot_code(h, dot_code(h, left.left, left.right.left), left.right.right),
-                        right,
-                    )
-                )
-            if not left.left.is_letter:
-                out.append(
-                    dot_code(
-                        h,
-                        dot_code(h, left.left.left, dot_code(h, left.left.right, left.right)),
-                        right,
-                    )
-                )
-        if len(left.word) == t.deletion:  # production with a leftover tail
-            for member in code_word(h, t.productions[left.word[0]]).members:
-                out.append(dot_code(h, right, member))
-    if len(af.word) == t.deletion:  # production consuming the whole word
-        out.extend(code_word(h, t.productions[af.word[0]]).members)
-    return out
 
 
 # --- CLI dispatch -------------------------------------------------------------
@@ -776,6 +702,7 @@ def run_lemma(lemma_id: str, options: dict | None = None) -> list[LemmaReport]:
 
 def _sweep_lemma6(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaReport:
     calc = rebracketing_calculus(h)
+    index = _axiom_index(calc)
     letters = tuple("abcdefghijklmnopqrstuvwxyz"[:alphabet_size])
     chains = 0
     for length in range(1, max_len + 1):
@@ -783,7 +710,7 @@ def _sweep_lemma6(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaRepo
             members = code_word(h, word).members
             for source in members:
                 for target in members:
-                    chain = build_chain_lemma6(h, source, target)
+                    chain = _rotation_chain(h, source, target, index)
                     if not chain_check(calc, chain):
                         return LemmaReport(
                             "lemma6",

@@ -16,6 +16,7 @@ calculus, so a halting run hands over exactly the target's theorems.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -27,11 +28,12 @@ from .codec import (
     default_hat_candidates,
     dot,
 )
-from .engine import Calculus
+from .engine import Calculus, calculus_to_json
 from .formulas import Formula, Imp, Var, match_instance, render_formula
 from .tags import TagSystem, render_tag_file, run_words
 
 __all__ = [
+    "GROUP_ORDER",
     "ReductionBundle",
     "build_H",
     "build_PT",
@@ -39,6 +41,7 @@ __all__ = [
     "bundle_to_json",
     "production_axioms",
     "rebracketing_axioms",
+    "short_code_members",
     "t_alpha_member",
     "words_of_length",
 ]
@@ -46,6 +49,12 @@ __all__ = [
 # Trailer variable of the production schemes; kept distinct from the code
 # variable p so scheme instances stay unrestricted.
 SCHEME_VARIABLE = "x"
+
+# The axiom groups of the reduction calculus, in calculus order: axiom
+# indices in traces and the bundle JSON follow it.  The production calculus
+# is its first three groups.
+GROUP_ORDER = ("T1", "T2", "R", "H", "input")
+_PRODUCTION_GROUPS = GROUP_ORDER[:3]
 
 
 def words_of_length(alphabet: Sequence[str], n: int) -> list[str]:
@@ -84,53 +93,74 @@ def production_axioms(
     for letter in t.alphabet:
         omega_members = code_word(h, t.productions[letter]).formulas
         for alpha in tails:
-            head_members = code_word(h, letter + alpha).formulas
-            for head in head_members:
+            for head in code_word(h, letter + alpha).formulas:
                 for target in omega_members:
                     t1.append(Imp(dot(h, head, x), dot(h, x, target)))
-        for alpha in tails:
-            head_members = code_word(h, letter + alpha).formulas
-            for head in head_members:
-                for target in omega_members:
                     t2.append(Imp(head, target))
     return tuple(t1), tuple(t2)
 
 
+def _production_groups(t: TagSystem, h: HatTemplate) -> dict[str, tuple[Formula, ...]]:
+    t1, t2 = production_axioms(t, h)
+    return {"T1": t1, "T2": t2, "R": rebracketing_axioms(h)}
+
+
+def _join(
+    label: str, groups: dict[str, tuple[Formula, ...]], names: Sequence[str]
+) -> Calculus:
+    """The named groups, concatenated in the order given."""
+    return Calculus(label, tuple(ax for name in names for ax in groups[name]))
+
+
 def build_PT(t: TagSystem, h: HatTemplate = DEFAULT_HAT) -> Calculus:
     """The production calculus: T1, then T2, then the rebracketing moves."""
-    t1, t2 = production_axioms(t, h)
-    return Calculus("productions", t1 + t2 + rebracketing_axioms(h))
+    return _join("productions", _production_groups(t, h), _PRODUCTION_GROUPS)
+
+
+def short_code_members(t: TagSystem, h: HatTemplate) -> tuple[Formula, ...]:
+    """Every code member of every nonempty word shorter than the deletion
+    number: the codes a halting run can end on."""
+    return tuple(
+        member
+        for length in range(1, t.deletion)
+        for word in words_of_length(t.alphabet, length)
+        for member in code_word(h, word).formulas
+    )
 
 
 def build_H(t: TagSystem, p0: Calculus, h: HatTemplate = DEFAULT_HAT) -> Calculus:
-    """Halting hooks: every code member of every nonempty word shorter than
-    the deletion number implies every axiom of the target calculus."""
-    axioms: list[Formula] = []
-    for length in range(1, t.deletion):
-        for word in words_of_length(t.alphabet, length):
-            for member in code_word(h, word).formulas:
-                for a in p0.axioms:
-                    axioms.append(Imp(member, a))
-    return Calculus("halting-hooks", tuple(axioms))
+    """Halting hooks: every short-word code member implies every axiom of the
+    target calculus."""
+    axioms = tuple(Imp(m, a) for m in short_code_members(t, h) for a in p0.axioms)
+    return Calculus("halting-hooks", axioms)
 
 
 @dataclass(frozen=True)
 class ReductionBundle:
     """Everything built for one (tag system, target calculus, input) triple.
 
-    `full` is the reduction calculus: productions, halting hooks, then the
-    code members of the input word as axioms.  `groups` keeps the partition
-    for reporting and serialization.
+    `groups` holds each axiom group once, by name.  The calculi are views of
+    it in GROUP_ORDER: `full` is the reduction calculus, `pt` the production
+    calculus and `h_axioms` the halting hooks alone.
     """
 
     tag: TagSystem
     p0: Calculus
     hat: HatTemplate
     input_word: str
-    pt: Calculus
-    h_axioms: Calculus
-    full: Calculus
     groups: dict[str, tuple[Formula, ...]]
+
+    @cached_property
+    def full(self) -> Calculus:
+        return _join(f"reduction:{self.input_word}", self.groups, GROUP_ORDER)
+
+    @cached_property
+    def pt(self) -> Calculus:
+        return _join("productions", self.groups, _PRODUCTION_GROUPS)
+
+    @cached_property
+    def h_axioms(self) -> Calculus:
+        return Calculus("halting-hooks", self.groups["H"])
 
 
 def build_reduction(
@@ -145,23 +175,10 @@ def build_reduction(
         if ch not in t.productions:
             raise ValueError(f"input letter {ch!r} outside alphabet")
     hat = choose_hat(p0, candidates if candidates is not None else default_hat_candidates())
-    t1, t2 = production_axioms(t, hat)
-    r = rebracketing_axioms(hat)
-    pt = Calculus("productions", t1 + t2 + r)
-    hooks = build_H(t, p0, hat)
-    input_members = code_word(hat, input_word).formulas
-    full = Calculus(
-        f"reduction:{input_word}",
-        pt.axioms + hooks.axioms + input_members,
-    )
-    groups = {
-        "T1": t1,
-        "T2": t2,
-        "R": r,
-        "H": hooks.axioms,
-        "input": input_members,
-    }
-    return ReductionBundle(t, p0, hat, input_word, pt, hooks, full, groups)
+    groups = _production_groups(t, hat)
+    groups["H"] = build_H(t, p0, hat).axioms
+    groups["input"] = code_word(hat, input_word).formulas
+    return ReductionBundle(t, p0, hat, input_word, groups)
 
 
 def t_alpha_member(
@@ -179,11 +196,8 @@ def t_alpha_member(
 
 
 def bundle_to_json(bundle: ReductionBundle) -> dict:
-    from .engine import calculus_to_json
-
     obj: dict = {
-        key: [render_formula(f) for f in group]
-        for key, group in bundle.groups.items()
+        key: [render_formula(f) for f in bundle.groups[key]] for key in GROUP_ORDER
     }
     obj["hat"] = bundle.hat.text
     obj["tag_file"] = render_tag_file(bundle.tag)

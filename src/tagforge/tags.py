@@ -160,22 +160,9 @@ def tag_reaches(t: TagSystem, source: str, target: str, max_steps: int) -> bool:
     word is ever reached; the search stops there, and in particular a word
     never "reaches" itself.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    _check_word(t, source)
+    words = run_words(t, source, max_steps)
     _check_word(t, target)
-    seen = {source}
-    current = source
-    for _ in range(max_steps):
-        if len(current) < t.deletion:
-            return False
-        current = current[t.deletion:] + t.productions[current[0]]
-        if current in seen:
-            return False
-        if current == target:
-            return True
-        seen.add(current)
-    return False
+    return target in words[1:]
 
 
 def run_words(t: TagSystem, word: str, max_steps: int) -> list[str]:

@@ -6,9 +6,9 @@ were assembled in one place.  Chains pin their waypoints and every link's
 `trace_to_json`, so the axiom index of each link is fixed, not only its
 formula.
 
-The collatz chain from `aaa` is 858 MB as text (44 s to render), so its
-formulas are written as indices into a shared node table instead of as
-text; every other case is plain rendered text.
+The collatz chain from `aaa` renders to 858 MB of text, so its formulas are
+written as indices into a shared node table instead; every other case is
+plain rendered text.
 """
 
 import hashlib

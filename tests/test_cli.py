@@ -207,3 +207,49 @@ def test_text_format(capsys, tagfile):
     out = capsys.readouterr().out
     assert code == 0
     assert "outcome: halted" in out
+
+
+@pytest.mark.parametrize(
+    "goal,codes",
+    [
+        ("(" * 600 + "p" + ")" * 600, (0,)),
+        (" -> ".join(["a"] * 3000), (0, 1)),
+    ],
+    ids=["600-parentheses", "3000-links"],
+)
+def test_deep_goal_is_not_a_traceback(capsys, calcfile, goal, codes):
+    code = main(["derive", "--calculus", calcfile, "--goal", goal])
+    err = capsys.readouterr().err
+    assert code in codes
+    assert "Traceback" not in err
+    assert err in ("", "error: formula nested too deeply\n")
+
+
+@pytest.mark.parametrize(
+    "option,payload,field",
+    [
+        ("--trace", {"steps": [{"kind": "axiom"}]}, "step 0: missing field 'axiom'"),
+        (
+            "--trace",
+            {"steps": [{"kind": "axiom", "axiom": "0", "substitution": {}, "result": "x"}]},
+            "step 0: field 'axiom' must be an integer",
+        ),
+        ("--trace", {"steps": ["axiom"]}, "trace step 0 must be an object"),
+        ("--trace", [{"kind": "axiom"}], "trace must be an object"),
+        ("--calculus", {"axioms": ["x"]}, "calculus: missing field 'label'"),
+        ("--calculus", ["x -> y -> x"], "calculus must be an object"),
+    ],
+    ids=["missing-field", "string-index", "step-not-object", "trace-not-object",
+         "calculus-no-label", "calculus-not-object"],
+)
+def test_malformed_json_names_the_field(capsys, calcfile, tmp_path, option, payload, field):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    files = {"--calculus": calcfile, "--trace": calcfile, option: str(bad)}
+    argv = ["check-trace", "--claimed", "x"]
+    for flag, path in files.items():
+        argv += [flag, path]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err

@@ -5,16 +5,22 @@ Each case runs `main(argv)` in-process and compares the exit code and the
 sha256 of stdout (and of the trace file, for `derive --trace-out`) with
 digests recorded at that commit.  The corpus covers every subcommand and
 every lemma id at small sizes.  `--output` is left out because its stdout
-names temporary paths.
+names temporary paths.  A few cases also run in fresh interpreters under
+two hash seeds, since formula hashes are object ids.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tagforge
 from tagforge.cli import main
 
 FILES = {
@@ -88,15 +94,20 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def write_corpus(directory) -> dict[str, str]:
+    """Write the corpus files; returns the argument substitutions."""
+    subst = {"{trace}": str(directory / "trace.json")}
+    for name, text in FILES.items():
+        (directory / name).write_text(text, encoding="utf-8")
+        subst[f"{{{name}}}"] = str(directory / name)
+    return subst
+
+
 def run_corpus(directory) -> tuple[dict, dict]:
     """Run every case in order.  Returns case id -> (exit code, stdout
     digest), and case id -> trace-file digest for the `--trace-out` cases."""
-    paths = {name: directory / name for name in FILES}
-    for name, text in FILES.items():
-        paths[name].write_text(text, encoding="utf-8")
+    subst = write_corpus(directory)
     trace = directory / "trace.json"
-    subst = {f"{{{name}}}": str(path) for name, path in paths.items()}
-    subst["{trace}"] = str(trace)
     outputs: dict[str, tuple[int, str]] = {}
     traces: dict[str, str] = {}
     for case_id, argv, _, _ in CASES:
@@ -127,3 +138,32 @@ def test_stdout_matches_golden(corpus_results, case_id, code, digest):
 def test_trace_file_matches_golden(corpus_results, case_id, digest):
     _, traces = corpus_results
     assert traces[case_id] == digest
+
+
+# Cases whose output passes through set or dict iteration over formulas,
+# whose hashes are object ids.
+HASH_SEED_CASES = ("reduce", "derive-ks", "verify-lemma9", "verify-lemma11")
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_stdout_independent_of_hash_seed(tmp_path, seed):
+    """A fresh interpreter under a fixed PYTHONHASHSEED prints the golden
+    bytes: CLI output does not depend on the hash seed."""
+    subst = write_corpus(tmp_path)
+    src = str(Path(tagforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+    for case_id, argv, code, digest in CASES:
+        if case_id not in HASH_SEED_CASES:
+            continue
+        argv = [subst.get(arg, arg) for arg in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "tagforge.cli", *argv],
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert (case_id, proc.returncode, _sha256(proc.stdout)) == (case_id, code, digest)
+        if "--trace-out" in argv:
+            trace = Path(subst["{trace}"]).read_bytes()
+            assert _sha256(trace) == TRACE_DIGESTS[case_id]

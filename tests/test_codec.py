@@ -11,7 +11,6 @@ from tagforge.codec import (
     catalan,
     choose_hat,
     circ,
-    circ_general,
     code_letter,
     code_word,
     decode,
@@ -31,6 +30,7 @@ from tagforge.formulas import (
     unify,
     variables,
 )
+from tagforge.reduction import words_of_length
 
 p = parse_formula
 H = DEFAULT_HAT
@@ -72,16 +72,6 @@ def test_circ_is_weakening_instance(h):
 def test_circ_separation(h):
     pat = circ(h, Var("x"), Var("y"))
     assert unify(pat, Imp(pat, Var("z"))) is None
-
-
-def test_circ_general():
-    # a bare-variable inner formula reduces to the plain combinator
-    assert circ_general(H, Var("y"), Var("a"), Var("b")) == circ(H, Var("a"), Var("b"))
-    got = circ_general(H, p("y -> y"), Var("a"), Var("b"))
-    # oracle: instances of the generalized weakening shape
-    assert match_instance(got, p("x -> ((y -> y) -> x)")) is not None
-    with pytest.raises(ValueError):
-        circ_general(H, p("x -> y"), Var("a"), Var("b"))
 
 
 def test_code_letter_hand_expansion():
@@ -197,6 +187,17 @@ def test_all_members_single_variable_p():
 def test_right_nested_is_first_member():
     rn = right_nested(H, "abcd")
     assert shape(rn) == ("a", ("b", ("c", "d")))
+
+
+@pytest.mark.parametrize("hat", ["x", "x -> x"])
+def test_right_nested_matches_first_member(hat):
+    # differential: the spine built directly equals the first bracketing
+    h = HatTemplate.from_text(hat)
+    for n in range(1, 7):
+        for word in words_of_length(("a", "b", "c"), n):
+            assert right_nested(h, word) == code_word(h, word).members[0]
+    with pytest.raises(ValueError):
+        right_nested(h, "")
 
 
 def test_choose_hat():

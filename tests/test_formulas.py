@@ -20,7 +20,6 @@ from tagforge.formulas import (
     rename_apart,
     render_formula,
     unify,
-    unify_apart,
     variables,
 )
 
@@ -88,6 +87,18 @@ def test_parse_errors_carry_position(text, pos):
     with pytest.raises(FormulaSyntaxError) as exc:
         p(text)
     assert exc.value.position == pos
+
+
+def test_parse_deep_nesting_without_recursion():
+    assert p("(" * 5000 + "x" + ")" * 5000) is Var("x")
+    f = p(" -> ".join(["a"] * 3000))
+    depth = 0
+    while type(f) is Imp:
+        assert f.left is Var("a")
+        f, depth = f.right, depth + 1
+    assert (f, depth) == (Var("a"), 2999)
+    with pytest.raises(FormulaSyntaxError, match=r"^'\)' expected \(at position 10000\)$"):
+        p("(" * 5000 + "x" + ")" * 4999)
 
 
 def test_render_minimal_parens():
@@ -188,7 +199,7 @@ def test_match_detects_instances(pattern, subst):
     assert s is not None
     assert apply_substitution(s, pattern) == candidate
     # matching implies unifiability on variable-disjoint copies
-    assert unify_apart(candidate, pattern) is not None
+    assert unify(candidate, rename_apart(pattern, set(variables(candidate)))) is not None
 
 
 @given(_formulas, _formulas)
