@@ -206,6 +206,68 @@ def _splice(
     return DerivationTrace(tuple(steps))
 
 
+# Subterms at this depth and below are wildcards in index keys.  Depth 4
+# caps a key at 31 symbols: encoded formulas are exponentially larger as
+# trees than as DAGs, so a key that followed the whole tree could not be
+# built for them, and deeper keys cost memory without pruning much more.
+_INDEX_DEPTH = 4
+
+
+class _GeneralisationIndex:
+    """Discrimination tree over formulas, for forward subsumption.
+
+    A formula's key is the preorder of its implication skeleton down to
+    `_INDEX_DEPTH`: ">" for an implication, "*" for a variable or for any
+    subterm at the depth bound.  A formula f can be an instance of a stored
+    formula g only if g's key matches f's skeleton with each "*" standing
+    for a whole subterm of f, so `candidates` returns a superset of the
+    stored formulas that f is an instance of.  The key ignores variable
+    names, so `match_instance` still decides every candidate.
+    """
+
+    def __init__(self) -> None:
+        # A trie node maps ">" and "*" to child nodes; the node a whole key
+        # leads to maps None to the formulas stored under that key.
+        self._root: dict = {}
+
+    def add(self, f: Formula) -> None:
+        node = self._root
+        todo = [(f, 0)]
+        while todo:
+            t, depth = todo.pop()
+            if type(t) is Imp and depth < _INDEX_DEPTH:
+                node = node.setdefault(">", {})
+                todo.append((t.right, depth + 1))
+                todo.append((t.left, depth + 1))
+            else:
+                node = node.setdefault("*", {})
+        node.setdefault(None, []).append(f)
+
+    def candidates(self, f: Formula) -> list[Formula]:
+        out: list[Formula] = []
+        # Each entry: a trie node, the next subterm of f to read there with
+        # its depth, and the subterms still to read after it as a linked
+        # list of (term, depth, rest) triples.
+        todo = [(self._root, f, 0, None)]
+        while todo:
+            node, t, depth, rest = todo.pop()
+            star = node.get("*")
+            if star is not None:
+                if rest is None:
+                    out.extend(star[None])
+                else:
+                    todo.append((star, *rest))
+            if type(t) is Imp and depth < _INDEX_DEPTH:
+                imp = node.get(">")
+                if imp is not None:
+                    todo.append((imp, t.left, depth + 1, (t.right, depth + 1, rest)))
+        return out
+
+    def subsumes(self, f: Formula) -> bool:
+        """True when f is an instance of a stored formula."""
+        return any(match_instance(f, g) is not None for g in self.candidates(f))
+
+
 def closure_levels(
     calc: Calculus, *, subsumption: bool = True, cap: int | None = None
 ) -> Iterator[ClosureLevel]:
@@ -221,15 +283,16 @@ def closure_levels(
     cap = _resolve_cap(cap)
     gens: list[Generator] = []
     seen: set[Formula] = set()
+    index = _GeneralisationIndex() if subsumption else None
     for idx, ax in enumerate(calc.axioms):
         canon = canonical_rename(ax)
         if canon in seen:
             continue
         seen.add(canon)
-        if subsumption and any(
-            match_instance(ax, g.formula) is not None for g in gens
-        ):
-            continue
+        if index is not None:
+            if index.subsumes(ax):
+                continue
+            index.add(ax)
         trace = DerivationTrace((AxiomStep(idx, {}, ax),))
         gens.append(Generator(ax, trace, 0))
     if len(gens) > cap:
@@ -256,11 +319,10 @@ def closure_levels(
                 if canon in seen:
                     continue
                 seen.add(canon)
-                if subsumption and (
-                    any(match_instance(canon, g.formula) is not None for g in gens)
-                    or any(match_instance(canon, g.formula) is not None for g in added)
-                ):
-                    continue
+                if index is not None:
+                    if index.subsumes(canon):
+                        continue
+                    index.add(canon)
                 trace = _splice(gens[mi].trace, gens[ni].trace, unifier, raw)
                 added.append(Generator(canon, trace, level))
                 if size + len(added) > cap:

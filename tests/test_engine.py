@@ -14,6 +14,7 @@ from tagforge.engine import (
     DerivationTrace,
     DetachStep,
     GeneratorCapError,
+    _GeneralisationIndex,
     NotFoundWithinBudget,
     calculus_from_json,
     calculus_to_json,
@@ -31,6 +32,7 @@ from tagforge.formulas import (
     Imp,
     Var,
     alpha_equal,
+    apply_substitution,
     match_instance,
     parse_formula,
 )
@@ -236,3 +238,46 @@ def test_detach_result_is_detachable_instance(major, minor):
     assert u is not None
     assert apply_substitution(u, major.left) == apply_substitution(u, fresh)
     assert alpha_equal(apply_substitution(u, major.right), got)
+
+
+# Terms up to 24 leaves reach well below the index's depth bound of 4.
+_deep = st.recursive(_vars, lambda f: st.builds(Imp, f, f), max_leaves=24)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(_deep, min_size=1, max_size=8),
+    _deep,
+    st.dictionaries(_names, _deep, max_size=3),
+    st.integers(0, 7),
+)
+def test_index_candidates_cover_generalisations(gens, other, subst, pick):
+    index = _GeneralisationIndex()
+    for g in gens:
+        index.add(g)
+    instance = apply_substitution(subst, gens[pick % len(gens)])
+    for f in (other, instance):
+        wanted = {g for g in gens if match_instance(f, g) is not None}
+        assert wanted <= set(index.candidates(f))
+        assert index.subsumes(f) == bool(wanted)
+    assert index.subsumes(instance)
+
+
+def test_index_prunes_by_skeleton():
+    def wrap(f):
+        # four implications above f put f at the index's depth bound
+        for _ in range(4):
+            f = Imp(f, Var("u"))
+        return f
+
+    deep = wrap(p("(x -> y) -> z"))
+    index = _GeneralisationIndex()
+    for f in (p("x"), p("x -> x"), p("(x -> y) -> x"), deep):
+        index.add(f)
+    assert index.candidates(p("y")) == [p("x")]
+    assert set(index.candidates(p("y -> z"))) == {p("x"), p("x -> x")}
+    # the key of `deep` has a wildcard where the query differs, so it is a
+    # candidate, and matching rejects it
+    shallow = wrap(p("w -> z"))
+    assert deep in index.candidates(shallow)
+    assert match_instance(shallow, deep) is None
