@@ -300,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # The parser is iterative; rendering and some kernel walks recurse.
+        # Parsing and rendering are iterative; some kernel walks recurse.
         print("error: formula nested too deeply", file=sys.stderr)
         return 1
     return 0

@@ -154,23 +154,35 @@ def parse_formula(text: str) -> Formula:
 
 
 def render_formula(f: Formula) -> str:
-    """Canonical text with minimal parentheses; inverse of parse_formula."""
+    """Canonical text with minimal parentheses; inverse of parse_formula.
+
+    Iterative, like the parser: a formula nested deeper than the recursion
+    limit still prints.
+    """
     parts: list[str] = []
-    _render(f, parts, False)
+    # Formulas still to render without outer parentheses, and text pieces,
+    # the next one last.
+    todo: list[Formula | str] = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is str:
+            parts.append(g)
+            continue
+        # Walk g's right spine; an implication on the left is bracketed and
+        # rendered first, the rest of the spine after its ") -> ".
+        while type(g) is Imp:
+            left = g.left
+            if type(left) is Imp:
+                parts.append("(")
+                todo.append(g.right)
+                todo.append(") -> ")
+                g = left
+            else:
+                parts.append(left.name)
+                parts.append(" -> ")
+                g = g.right
+        parts.append(g.name)
     return "".join(parts)
-
-
-def _render(f: Formula, out: list[str], nested: bool) -> None:
-    if type(f) is Var:
-        out.append(f.name)
-        return
-    if nested:
-        out.append("(")
-    _render(f.left, out, True)
-    out.append(" -> ")
-    _render(f.right, out, False)
-    if nested:
-        out.append(")")
 
 
 def variables(f: Formula) -> tuple[str, ...]:

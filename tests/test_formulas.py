@@ -107,6 +107,15 @@ def test_render_minimal_parens():
     assert render_formula(Var("p")) == "p"
 
 
+def test_render_deep_nesting_without_recursion():
+    right = left = Var("a")
+    for _ in range(5000):
+        right = Imp(Var("a"), right)
+        left = Imp(left, Var("a"))
+    assert render_formula(right) == " -> ".join(["a"] * 5001)
+    assert render_formula(left) == "(" * 4999 + "a -> a" + ") -> a" * 4999
+
+
 def test_apply_substitution_simultaneous():
     yy = p("y -> y")
     assert apply_substitution({"x": yy}, p("x -> x")) == p("(y -> y) -> (y -> y)")
@@ -180,6 +189,19 @@ _substs = st.dictionaries(_names, _formulas, max_size=3)
 @given(_formulas)
 def test_parse_render_round_trip(f):
     assert parse_formula(render_formula(f)) is f
+
+
+def _render_recursive(f, nested=False):
+    """The recursive renderer that `render_formula` replaced."""
+    if type(f) is Var:
+        return f.name
+    text = f"{_render_recursive(f.left, True)} -> {_render_recursive(f.right)}"
+    return f"({text})" if nested else text
+
+
+@given(_formulas)
+def test_render_matches_recursive_reference(f):
+    assert render_formula(f) == _render_recursive(f)
 
 
 @given(_formulas, _formulas)
