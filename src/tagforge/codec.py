@@ -140,11 +140,14 @@ def dot(h: HatTemplate, a: Formula, b: Formula) -> Formula:
     return circ(h, Imp(Imp(a, a), a), b)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlphabeticFormula:
     """A formula together with its unique parse as letter codes joined by dot.
 
     Exactly one of `letter` (leaf) or `left`/`right` (interior node) is set.
+    Only the cached `letter_code` and `dot_code` build these, so equal parses
+    are one object, and `==` and `hash` are the identity ones: a structural
+    hash would walk the whole parse on every cache lookup.
     """
 
     word: str

@@ -1,5 +1,7 @@
 """Encoding layer tests: combinators, letter and word codes, decoding."""
 
+import timeit
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +200,20 @@ def test_right_nested_matches_first_member(hat):
             assert right_nested(h, word) == code_word(h, word).members[0]
     with pytest.raises(ValueError):
         right_nested(h, "")
+
+
+def test_right_nested_long_words_in_linear_time():
+    def best(word):
+        right_nested(H, word)
+        return min(timeit.repeat(lambda: right_nested(H, word), number=5, repeat=7))
+
+    word = "ab" * 400
+    spine = right_nested(H, word)
+    assert spine.word == word and spine.left is letter_code(H, "a")
+    assert spine.right is right_nested(H, word[1:])
+    # every call hashes each spine node for the caches; a hash that walked
+    # the parse made doubling the word quadruple the time
+    assert best("ab" * 800) < 3 * best(word)
 
 
 def test_choose_hat():
