@@ -210,27 +210,20 @@ def test_text_format(capsys, tagfile):
 
 
 @pytest.mark.parametrize(
-    "goal,codes",
+    "goal,text",
     [
-        ("(" * 600 + "p" + ")" * 600, (0,)),
-        (" -> ".join(["a"] * 3000), (0,)),
+        ("(" * 600 + "p" + ")" * 600, "p"),
+        (" -> ".join(["a"] * 3000), " -> ".join(["a"] * 3000)),
     ],
     ids=["600-parentheses", "3000-links"],
 )
-def test_deep_goal_is_not_a_traceback(capsys, calcfile, goal, codes):
+def test_deep_goal_is_not_a_traceback(capsys, calcfile, goal, text):
     code = main(["derive", "--calculus", calcfile, "--goal", goal])
-    err = capsys.readouterr().err
-    assert code in codes
-    assert "Traceback" not in err
-    assert err in ("", "error: formula nested too deeply\n")
-
-
-def test_long_goal_prints_its_verdict(capsys, calcfile):
-    goal = " -> ".join(["a"] * 3000)
-    code, obj = run_json(capsys, ["derive", "--calculus", calcfile, "--goal", goal])
-    assert code == 0
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    obj = json.loads(captured.out)
     assert obj["verdict"] == "not-found-within-budget"
-    assert obj["goal"] == goal
+    assert obj["goal"] == text
 
 
 @pytest.mark.parametrize(
