@@ -8,6 +8,11 @@ This representation is a choice of this engine, not a theorem; its coverage is
 cross-checked empirically against `naive_closure_oracle`, which applies the
 two rules literally over a finite substitution pool.
 
+Forward subsumption, which drops a new generator that is an instance of a
+retained one, asks a discrimination tree of the retained generators for
+candidates instead of scanning them all; `match_instance` still decides each
+candidate, so the index changes what the closure costs, not what it yields.
+
 Every generator carries a `DerivationTrace` that an independent checker
 (`check_trace`) re-validates using only the term-kernel primitives.  Negative
 answers are always reported as "not found within budget", never as
@@ -206,10 +211,8 @@ def _splice(
     return DerivationTrace(tuple(steps))
 
 
-# Subterms at this depth and below are wildcards in index keys.  Depth 4
-# caps a key at 31 symbols: encoded formulas are exponentially larger as
-# trees than as DAGs, so a key that followed the whole tree could not be
-# built for them, and deeper keys cost memory without pruning much more.
+# Subterms at this depth and below are wildcards in index keys, so a key
+# has at most 31 symbols; `closure_levels` says why the keys are bounded.
 _INDEX_DEPTH = 4
 
 
@@ -226,9 +229,10 @@ class _GeneralisationIndex:
     """
 
     def __init__(self) -> None:
-        # A trie node maps ">" and "*" to child nodes; the node a whole key
-        # leads to maps None to the formulas stored under that key.
-        self._root: dict = {}
+        # An inner trie node is a list [child after "*", child after ">"],
+        # None where no key goes on; the child a whole key ends in is the
+        # list of formulas stored under that key.
+        self._root: list = [None, None]
 
     def add(self, f: Formula) -> None:
         node = self._root
@@ -236,31 +240,31 @@ class _GeneralisationIndex:
         while todo:
             t, depth = todo.pop()
             if type(t) is Imp and depth < _INDEX_DEPTH:
-                node = node.setdefault(">", {})
+                slot = 1
                 todo.append((t.right, depth + 1))
                 todo.append((t.left, depth + 1))
             else:
-                node = node.setdefault("*", {})
-        node.setdefault(None, []).append(f)
+                slot = 0
+            if node[slot] is None:
+                node[slot] = [None, None] if todo else []
+            node = node[slot]
+        node.append(f)
 
     def candidates(self, f: Formula) -> list[Formula]:
         out: list[Formula] = []
-        # Each entry: a trie node, the next subterm of f to read there with
-        # its depth, and the subterms still to read after it as a linked
-        # list of (term, depth, rest) triples.
+        # Each entry: an inner trie node, the next subterm of f to read
+        # there with its depth, and the subterms still to read after it as
+        # a linked list of (term, depth, rest) triples.
         todo = [(self._root, f, 0, None)]
         while todo:
-            node, t, depth, rest = todo.pop()
-            star = node.get("*")
+            (star, imp), t, depth, rest = todo.pop()
             if star is not None:
                 if rest is None:
-                    out.extend(star[None])
+                    out.extend(star)
                 else:
                     todo.append((star, *rest))
-            if type(t) is Imp and depth < _INDEX_DEPTH:
-                imp = node.get(">")
-                if imp is not None:
-                    todo.append((imp, t.left, depth + 1, (t.right, depth + 1, rest)))
+            if imp is not None and type(t) is Imp and depth < _INDEX_DEPTH:
+                todo.append((imp, t.left, depth + 1, (t.right, depth + 1, rest)))
         return out
 
     def subsumes(self, f: Formula) -> bool:
@@ -279,6 +283,17 @@ def closure_levels(
     disabled, a new generator that is an instance of a retained one is
     dropped.  Output order is deterministic: majors then minors in discovery
     order, frontier pairs only.
+
+    The retained generators, earlier levels' and this level's alike, are
+    kept in a `_GeneralisationIndex`.  Its candidates are a superset of the
+    generators a formula is an instance of, and `match_instance` decides
+    each one, so a formula is dropped exactly when a scan of all retained
+    generators would drop it.  Keys stop at depth `_INDEX_DEPTH`: encoded
+    formulas are exponentially larger as trees than as graphs, and a bounded
+    key costs at most 31 steps to build for any formula.  Deeper keys prune
+    more candidates but cost more memory per generator, and on the textbook
+    calculi they did not make the closure measurably faster.  Without
+    subsumption no index is built.
     """
     cap = _resolve_cap(cap)
     gens: list[Generator] = []
