@@ -84,6 +84,7 @@ def test_closure_matches_golden(name, level, subsumption, count, digest):
         ("collatz", 34,
          "e944d0b782656ddeda90b239fc3940a4ef65c00ebd2155963aecc6253a04c3b6"),
     ],
+    ids=["shrinking", "growing", "collatz"],
 )
 def test_bundle_closure_matches_golden(system, count, digest):
     bundle = build_reduction(SYSTEMS[system](), K_CALC, "aa")

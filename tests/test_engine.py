@@ -14,8 +14,8 @@ from tagforge.engine import (
     DerivationTrace,
     DetachStep,
     GeneratorCapError,
-    _GeneralisationIndex,
     NotFoundWithinBudget,
+    _GeneralisationIndex,
     calculus_from_json,
     calculus_to_json,
     chain_check,
