@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .codec import HatTemplate, code_word
 from .engine import (
+    ChainProof,
     Derivable,
+    DerivationTrace,
     GeneratorCapError,
     check_trace,
     derives,
@@ -21,7 +24,7 @@ from .engine import (
     trace_to_json,
 )
 from .formulas import parse_formula, render_formula
-from .lemmas import ChainProof, LemmaReport, _default_p0, run_lemma
+from .lemmas import LemmaReport, _default_p0, run_lemma
 from .reduction import build_reduction, bundle_to_json
 from .tags import Halted, parse_tag_system, tag_reaches, tag_run
 
@@ -221,10 +224,6 @@ def _report_to_json(report: LemmaReport) -> dict:
 
 
 def _dump_artifacts(report: LemmaReport, directory: str, index: int) -> list[str]:
-    import os
-
-    from .engine import DerivationTrace
-
     written = []
     os.makedirs(directory, exist_ok=True)
     for k, (name, obj) in enumerate(report.artifacts):
@@ -300,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # Parsing and rendering are iterative; some kernel walks recurse.
+        # Parsing and rendering are iterative; apply_substitution and
+        # unify's _resolve still recurse once per nesting level.
         print("error: formula nested too deeply", file=sys.stderr)
         return 1
     return 0

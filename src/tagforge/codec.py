@@ -256,43 +256,49 @@ def decode(h: HatTemplate, f: Formula) -> AlphabeticFormula | None:
     """Recover the unique parse of f under h's encoding, or None.
 
     Present exactly when f is an alphabetic formula (a letter code or a dot of
-    two alphabetic formulas) for this template.
+    two alphabetic formulas) for this template.  The right spine is walked in
+    a loop and only left operands recurse, so a right-nested code of any
+    length decodes.
     """
-    if type(f) is not Imp or type(f.right) is not Imp:
-        return None
-    pivot, body = f.left, f.right
-    if body.right != pivot:
-        return None
-    if type(pivot) is not Imp or type(pivot.left) is not Imp:
-        return None
-    q = pivot.right
-    if pivot.left.left != q or pivot.left.right != q:
-        return None
-    y_arg = _unhat(h, q)
-    x_arg = _unhat(h, body.left)
-    if y_arg is None or x_arg is None:
-        return None
-    index = _letter_chain_index(x_arg)
-    if index is not None:
-        if y_arg != _P or not 1 <= index <= 26:
+    spine: list[tuple[Formula, AlphabeticFormula]] = []  # dot nodes, root first
+    while True:
+        if type(f) is not Imp or type(f.right) is not Imp:
             return None
-        result = letter_code(h, chr(ord("a") + index - 1))
-        return result if result.formula == f else None
-    if (
-        type(x_arg) is Imp
-        and type(x_arg.left) is Imp
-        and x_arg.left.left == x_arg.right
-        and x_arg.left.right == x_arg.right
-    ):
+        pivot, body = f.left, f.right
+        if body.right != pivot or type(pivot) is not Imp or type(pivot.left) is not Imp:
+            return None
+        q = pivot.right
+        if pivot.left.left != q or pivot.left.right != q:
+            return None
+        y_arg = _unhat(h, q)
+        x_arg = _unhat(h, body.left)
+        if y_arg is None or x_arg is None:
+            return None
+        index = _letter_chain_index(x_arg)
+        if index is not None:
+            if y_arg != _P or not 1 <= index <= 26:
+                return None
+            result = letter_code(h, chr(ord("a") + index - 1))
+            if result.formula != f:
+                return None
+            break
+        if not (
+            type(x_arg) is Imp
+            and type(x_arg.left) is Imp
+            and x_arg.left.left == x_arg.right
+            and x_arg.left.right == x_arg.right
+        ):
+            return None
         left = decode(h, x_arg.right)
         if left is None:
             return None
-        right = decode(h, y_arg)
-        if right is None:
+        spine.append((f, left))
+        f = y_arg
+    for node, left in reversed(spine):
+        result = dot_code(h, left, result)
+        if result.formula != node:
             return None
-        result = dot_code(h, left, right)
-        return result if result.formula == f else None
-    return None
+    return result
 
 
 def choose_hat(p0, candidates: Sequence[HatTemplate]) -> HatTemplate:

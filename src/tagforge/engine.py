@@ -87,13 +87,6 @@ class GeneratorCapError(RuntimeError):
         self.cap = cap
 
 
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_GENERATOR_CAP
-
-
 @dataclass(frozen=True)
 class Calculus:
     label: str
@@ -272,9 +265,7 @@ class _GeneralisationIndex:
         return any(match_instance(f, g) is not None for g in self.candidates(f))
 
 
-def closure_levels(
-    calc: Calculus, *, subsumption: bool = True, cap: int | None = None
-) -> Iterator[ClosureLevel]:
+def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[ClosureLevel]:
     """Yield closure levels 0, 1, 2, ... of the calculus.
 
     Level 0 holds the axioms; level n+1 adds every condensed detachment
@@ -294,8 +285,13 @@ def closure_levels(
     more candidates but cost more memory per generator, and on the textbook
     calculi they did not make the closure measurably faster.  Without
     subsumption no index is built.
+
+    A closure with more generators than the cap raises `GeneratorCapError`.
+    The cap comes from the environment variable named by `CAP_ENV_VAR`
+    (default `DEFAULT_GENERATOR_CAP`), and only this function reads it.
     """
-    cap = _resolve_cap(cap)
+    raw = os.environ.get(CAP_ENV_VAR)
+    cap = int(raw) if raw else DEFAULT_GENERATOR_CAP
     gens: list[Generator] = []
     seen: set[Formula] = set()
     index = _GeneralisationIndex() if subsumption else None
@@ -347,17 +343,13 @@ def closure_levels(
         yield ClosureLevel(level, tuple(gens))
 
 
-def closure_level(
-    calc: Calculus, n: int, *, subsumption: bool = True, cap: int | None = None
-) -> ClosureLevel:
+def closure_level(calc: Calculus, n: int, *, subsumption: bool = True) -> ClosureLevel:
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return next(islice(closure_levels(calc, subsumption=subsumption, cap=cap), n, None))
+    return next(islice(closure_levels(calc, subsumption=subsumption), n, None))
 
 
-def derives(
-    calc: Calculus, goal: Formula, depth: int, *, cap: int | None = None
-) -> Derivable | NotFoundWithinBudget:
+def derives(calc: Calculus, goal: Formula, depth: int) -> Derivable | NotFoundWithinBudget:
     """Search levels 0..depth for a generator having `goal` as an instance.
 
     A hit yields the generator's trace (of which the goal is an instance); a
@@ -366,7 +358,7 @@ def derives(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     checked = 0
-    for lvl in islice(closure_levels(calc, cap=cap), depth + 1):
+    for lvl in islice(closure_levels(calc), depth + 1):
         for g in lvl.generators[checked:]:
             if match_instance(goal, g.formula) is not None:
                 return Derivable(g.trace, g.formula, lvl.level)
@@ -433,10 +425,10 @@ def derive_weakening(
     minor_idx = len(steps) - 1
     steps.append(AxiomStep(idx, sub, target))
     major_idx = len(steps) - 1
-    minor = rename_apart(steps[minor_idx].result, set(variables(target)))
-    u = unify(target.left, minor)
-    assert u is not None  # the trace establishes an ancestor of `derivable`
-    steps.append(DetachStep(major_idx, minor_idx, u, apply_substitution(u, target.right)))
+    pair = _detach_raw(target, steps[minor_idx].result)
+    assert pair is not None  # the trace establishes an ancestor of `derivable`
+    result, u = pair
+    steps.append(DetachStep(major_idx, minor_idx, u, result))
     return DerivationTrace(tuple(steps))
 
 

@@ -13,7 +13,9 @@ states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
+from typing import Iterator, Sequence
 
 from .codec import (
     DEFAULT_HAT,
@@ -31,16 +33,15 @@ from .engine import (
     AxiomStep,
     Calculus,
     ChainProof,
-    Derivable,
+    ClosureLevel,
     DerivationTrace,
+    Generator,
     GeneratorCapError,
-    NotFoundWithinBudget,
     chain_check,
     check_trace,
     closure_level,
     closure_levels,
     derive_weakening,
-    derives,
 )
 from .formulas import (
     Formula,
@@ -407,13 +408,7 @@ def build_run_chain(
 
 
 def check_production(
-    t: TagSystem,
-    p0: Calculus,
-    h: HatTemplate,
-    alpha: str,
-    n: int,
-    *,
-    cap: int | None = None,
+    t: TagSystem, p0: Calculus, h: HatTemplate, alpha: str, n: int
 ) -> LemmaReport:
     """Classify every closure generator of the production calculus plus the
     input code: each must be an instance of a production-side axiom or an
@@ -424,91 +419,98 @@ def check_production(
     short-word code instance appears (past that point the halting hooks are
     expected to inject the target calculus).
     """
-    instance = f"tag={system_label(t)} alpha={alpha!r} n={n}"
+    return _classify(t, p0, h, alpha, n)[0]
+
+
+def _classify(
+    t: TagSystem,
+    p0: Calculus,
+    h: HatTemplate,
+    alpha: str,
+    n: int,
+    bundle: ReductionBundle | None = None,
+) -> tuple[LemmaReport, ClosureLevel | None]:
+    """check_production's report, with level n of the full reduction
+    calculus when it was reached.  Each calculus is closed once, and the
+    bundle, unless given, is built only after the production side passes."""
+    report = partial(LemmaReport, "lemma9", f"tag={system_label(t)} alpha={alpha!r} n={n}")
+
+    def unclassified(generators, axioms, hat) -> list[str]:
+        return [
+            render_formula(g.formula)
+            for g in generators
+            if not any(match_instance(g.formula, ax) is not None for ax in axioms)
+            and not t_alpha_member(t, alpha, g.formula, hat, n)
+        ]
+
     pt = build_PT(t, h)
     base = Calculus("productions+input", pt.axioms + code_word(h, alpha).formulas)
     try:
-        top = closure_level(base, n, cap=cap)
+        top = closure_level(base, n)
+        resources = {"generators": len(top.generators), "levels": n}
+        bad = unclassified(top.generators, pt.axioms, h)
+        if bad:
+            return report("fail", {"unclassified": bad}, resources), None
+        if bundle is None:
+            bundle = build_reduction(t, p0, alpha, (h,) + default_hat_candidates())
+        top_full = closure_level(bundle.full, n)
     except GeneratorCapError as e:
-        return LemmaReport("lemma9", instance, "inconclusive-budget", {"reason": str(e)})
-    unclassified = []
-    for g in top.generators:
-        if any(match_instance(g.formula, ax) is not None for ax in pt.axioms):
-            continue
-        if t_alpha_member(t, alpha, g.formula, h, n):
-            continue
-        unclassified.append(g)
-    resources = {"generators": len(top.generators), "levels": n}
-    if unclassified:
-        return LemmaReport(
-            "lemma9",
-            instance,
-            "fail",
-            {"unclassified": [render_formula(g.formula) for g in unclassified]},
-            resources,
-        )
-    bundle = build_reduction(t, p0, alpha, (h,) + default_hat_candidates())
-    try:
-        guard = first_short_code_level(bundle, n, cap=cap)
-        top_full = closure_level(bundle.full, n, cap=cap)
-    except GeneratorCapError as e:
-        return LemmaReport("lemma9", instance, "inconclusive-budget", {"reason": str(e)})
+        return report("inconclusive-budget", {"reason": str(e)}), None
+    guard = first_short_code_level(bundle, top_full)
     limit = guard if guard is not None else n + 1
-    hook_side = bundle.pt.axioms + bundle.h_axioms.axioms
-    bad = []
-    for g in top_full.generators:
-        if g.level >= limit:
-            continue
-        if any(match_instance(g.formula, ax) is not None for ax in hook_side):
-            continue
-        if t_alpha_member(t, alpha, g.formula, bundle.hat, n):
-            continue
-        bad.append(g)
+    bad = unclassified(
+        [g for g in top_full.generators if g.level < limit],
+        bundle.pt.axioms + bundle.h_axioms.axioms,
+        bundle.hat,
+    )
     resources["full_generators"] = len(top_full.generators)
     resources["guard_level"] = guard
     if bad:
-        return LemmaReport(
-            "lemma9",
-            instance,
-            "fail",
-            {"unclassified_full": [render_formula(g.formula) for g in bad]},
-            resources,
-        )
-    return LemmaReport("lemma9", instance, "pass", {}, resources)
+        return report("fail", {"unclassified_full": bad}, resources), top_full
+    return report("pass", {}, resources), top_full
 
 
-def first_short_code_level(
-    bundle: ReductionBundle, max_level: int, *, cap: int | None = None
-) -> int | None:
-    """Smallest closure level of the full reduction calculus at which some
-    generator meets the code of a word shorter than the deletion number
-    (instance in either direction), or None within the budget."""
-    if max_level < 0:
-        raise ValueError("max_level must be nonnegative")
+def first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int | None:
+    """Smallest level of a generator in `top`, a closure level of the full
+    reduction calculus, that meets the code of a word shorter than the
+    deletion number (instance in either direction), or None."""
     shorts = short_code_members(bundle.tag, bundle.hat)
-    for lvl in islice(closure_levels(bundle.full, cap=cap), max_level + 1):
-        for g in lvl.generators:
-            if g.level != lvl.level:
-                continue
-            for member in shorts:
-                if (
-                    match_instance(member, g.formula) is not None
-                    or match_instance(g.formula, member) is not None
-                ):
-                    return lvl.level
+    # A closure level lists its generators in the order of their levels.
+    for g in top.generators:
+        if any(
+            match_instance(member, g.formula) is not None
+            or match_instance(g.formula, member) is not None
+            for member in shorts
+        ):
+            return g.level
     return None
 
 
 # --- halting equivalence ----------------------------------------------------
 
 
+def _first_instance(generators: Sequence[Generator], goal: Formula) -> Generator | None:
+    return next((g for g in generators if match_instance(goal, g.formula) is not None), None)
+
+
+def _instances(
+    calc: Calculus, goals: Sequence[Formula], depth: int
+) -> Iterator[tuple[Formula, Generator | None]]:
+    """Each goal with what `derives` finds for it within `depth` levels.
+    The goals share one closure run, which goes only as deep as the goals
+    taken so far needed."""
+    levels = islice(closure_levels(calc), depth + 1)
+    gens: tuple[Generator, ...] = ()
+    for goal in goals:
+        hit = _first_instance(gens, goal)
+        while hit is None and (lvl := next(levels, None)) is not None:
+            hit = _first_instance(lvl.generators[len(gens) :], goal)
+            gens = lvl.generators
+        yield goal, hit
+
+
 def check_halting_equivalence(
-    t: TagSystem,
-    p0: Calculus,
-    input_word: str,
-    budget: int,
-    *,
-    cap: int | None = None,
+    t: TagSystem, p0: Calculus, input_word: str, budget: int
 ) -> LemmaReport:
     """Forward: a halting run must make every target axiom derivable from the
     reduction bundle, with traces the independent checker accepts.  An axiom
@@ -517,7 +519,7 @@ def check_halting_equivalence(
     direction is undecidable at desk scale, so the check instead requires the
     closure characterization to hold at every explored level and every target
     axiom to stay out of reach; that outcome is reported as inconclusive, not
-    as pass.
+    as pass.  A closure that outgrows the generator cap is inconclusive too.
     """
     if not p0.axioms:
         raise ValueError("target calculus must be nonempty")
@@ -525,61 +527,53 @@ def check_halting_equivalence(
         raise ValueError("deletion number must be at least 2")
     bundle = build_reduction(t, p0, input_word)
     outcome = tag_run(t, input_word, budget)
-    instance = f"tag={system_label(t)} input={input_word!r} budget={budget}"
+    report = partial(
+        LemmaReport, "lemma11", f"tag={system_label(t)} input={input_word!r} budget={budget}"
+    )
     if isinstance(outcome, Halted):
         artifacts = []
-        for a in p0.axioms:
-            verdict = derives(bundle.full, a, budget, cap=cap)
-            if isinstance(verdict, NotFoundWithinBudget):
-                # The step budget doubles as the closure depth, and a run can
-                # halt within it while the derivation needs more levels.
-                return LemmaReport(
-                    "lemma11",
-                    instance,
-                    "inconclusive-budget",
-                    {
-                        "direction": "halting",
-                        "underived_axiom": render_formula(a),
-                        "depth": verdict.depth,
-                        "halt_steps": outcome.steps,
-                    },
-                )
-            if not check_trace(bundle.full, verdict.trace, a):
-                return LemmaReport(
-                    "lemma11",
-                    instance,
-                    "fail",
-                    {"axiom": render_formula(a), "reason": "trace rejected"},
-                )
-            artifacts.append((f"trace[{render_formula(a)}]", verdict.trace))
-        return LemmaReport(
-            "lemma11",
-            instance,
+        try:
+            for a, hit in _instances(bundle.full, p0.axioms, budget):
+                if hit is None:
+                    # The step budget doubles as the closure depth, and a run
+                    # can halt within it while the derivation needs more
+                    # levels.
+                    return report(
+                        "inconclusive-budget",
+                        {
+                            "direction": "halting",
+                            "underived_axiom": render_formula(a),
+                            "depth": budget,
+                            "halt_steps": outcome.steps,
+                        },
+                    )
+                if not check_trace(bundle.full, hit.trace, a):
+                    return report("fail", {"axiom": render_formula(a), "reason": "trace rejected"})
+                artifacts.append((f"trace[{render_formula(a)}]", hit.trace))
+        except GeneratorCapError as e:
+            return report("inconclusive-budget", {"direction": "halting", "reason": str(e)})
+        return report(
             "pass",
             {"direction": "halting", "axioms": len(p0.axioms), "halt_steps": outcome.steps},
             {},
             tuple(artifacts),
         )
-    production = check_production(t, p0, bundle.hat, input_word, budget, cap=cap)
+    production, top = _classify(t, p0, bundle.hat, input_word, budget, bundle)
     if production.verdict == "fail":
-        return LemmaReport(
-            "lemma11", instance, "fail", {"production_check": production.witness}
-        )
+        return report("fail", {"production_check": production.witness})
+    if top is None:
+        reason = production.witness["reason"]
+        return report("inconclusive-budget", {"direction": "non-halting", "reason": reason})
     for a in p0.axioms:
-        verdict = derives(bundle.full, a, budget, cap=cap)
-        if isinstance(verdict, Derivable):
-            return LemmaReport(
-                "lemma11",
-                instance,
+        if _first_instance(top.generators, a) is not None:
+            return report(
                 "fail",
                 {
                     "reason": "axiom derivable although the run did not halt in budget",
                     "axiom": render_formula(a),
                 },
             )
-    return LemmaReport(
-        "lemma11",
-        instance,
+    return report(
         "inconclusive-budget",
         {"direction": "non-halting", "production_verdict": production.verdict},
     )

@@ -186,6 +186,25 @@ def test_verify_lemma11_writes_witnesses(capsys, tmp_path):
     assert "trace" in payload
 
 
+@pytest.mark.parametrize(
+    "direction, system, cap",
+    [("non-halting", "d=2\na -> aa\n", "5"), ("halting", "d=2\na -> b\nb -> b\n", "12")],
+    ids=["non-halting", "halting"],
+)
+def test_verify_lemma11_cap_overflow_exits_0(
+    capsys, tmp_path, monkeypatch, direction, system, cap
+):
+    path = tmp_path / "g.tag"
+    path.write_text(system)
+    monkeypatch.setenv("TAGFORGE_GENERATOR_CAP", cap)
+    argv = ["verify", "lemma11", "--system", str(path), "--input", "aa", "--budget", "4"]
+    code, obj = run_json(capsys, argv)
+    assert code == 0
+    assert obj["verdict"] == "inconclusive-budget"
+    assert obj["witness"]["direction"] == direction
+    assert obj["witness"]["reason"].startswith("generator cap exceeded at level 0:")
+
+
 def test_usage_error_exit_2(capsys):
     assert main([]) == 2
     assert main(["tag"]) == 2

@@ -18,6 +18,7 @@ from tagforge.codec import (
     decode,
     default_hat_candidates,
     dot,
+    dot_code,
     hat_at,
     letter_code,
     right_nested,
@@ -160,8 +161,6 @@ def test_decode_round_trip(h):
 
 def test_decode_same_word_different_parses():
     a, e, c = (letter_code(H, ch) for ch in "aec")
-    from tagforge.codec import dot_code
-
     one = dot_code(H, dot_code(H, a, e), dot_code(H, c, a))
     two = dot_code(H, a, dot_code(H, dot_code(H, e, c), a))
     assert decode(H, one.formula).word == "aeca"
@@ -178,6 +177,14 @@ def test_decode_rejects_non_codes():
     other = HatTemplate.from_text("x -> x")
     assert decode(other, code_letter(H, 1)) is None
     assert decode(H, code_letter(other, 1)) is None
+
+
+def test_decode_long_right_nested_code():
+    # 1,200 letters is past the interpreter's default recursion limit.
+    spine = right_nested(H, "ab" * 600)
+    assert decode(H, spine.formula) is spine
+    spine_on_left = dot_code(H, spine, letter_code(H, "c"))
+    assert decode(H, spine_on_left.formula) is spine_on_left
 
 
 def test_all_members_single_variable_p():

@@ -68,9 +68,10 @@ def test_closure_monotone_and_deterministic():
     assert a.formulas[: len(prev.formulas)] == prev.formulas
 
 
-def test_closure_cap_reported():
+def test_closure_cap_reported(monkeypatch):
+    monkeypatch.setenv("TAGFORGE_GENERATOR_CAP", "30")
     with pytest.raises(GeneratorCapError):
-        closure_level(Calculus("ks", (K, S)), 4, cap=30)
+        closure_level(Calculus("ks", (K, S)), 4)
 
 
 def test_cap_env_override(monkeypatch):

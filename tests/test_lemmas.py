@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagforge import engine, lemmas
 from tagforge.codec import DEFAULT_HAT, HatTemplate, code_word, decode
-from tagforge.engine import AxiomStep, Calculus, chain_check, check_trace
+from tagforge.engine import (
+    AxiomStep,
+    Calculus,
+    Derivable,
+    chain_check,
+    check_trace,
+    closure_level,
+    derives,
+)
 from tagforge.formulas import match_instance, parse_formula
 from tagforge.lemmas import (
     WEAKENING_AXIOM,
@@ -196,7 +205,6 @@ def test_lemma9_detects_poisoned_axioms():
     t = collatz_system()
     pt = build_PT(t, H)
     poisoned = Calculus("poisoned", pt.axioms + (p("x -> x"),))
-    from tagforge.engine import closure_level
     from tagforge.reduction import t_alpha_member
 
     top = closure_level(poisoned, 0)
@@ -212,12 +220,12 @@ def test_lemma9_detects_poisoned_axioms():
 def test_first_short_code_level_values():
     p0 = K_CALC
     halting = build_reduction(shrinking_system(), p0, "aa")
-    assert first_short_code_level(halting, 4) == 1
+    assert first_short_code_level(halting, closure_level(halting.full, 4)) == 1
     growing = build_reduction(growing_system(), p0, "aa")
-    assert first_short_code_level(growing, 4) is None
+    assert first_short_code_level(growing, closure_level(growing.full, 4)) is None
     # an input already shorter than the deletion number is its own witness
     immediate = build_reduction(shrinking_system(), p0, "a")
-    assert first_short_code_level(immediate, 4) == 0
+    assert first_short_code_level(immediate, closure_level(immediate.full, 4)) == 0
 
 
 def test_lemma11_halting_direction():
@@ -246,6 +254,64 @@ def test_lemma11_budget_miss_is_inconclusive():
     assert report.witness["direction"] == "halting"
     assert report.witness["depth"] == 3
     assert check_halting_equivalence(t, K_CALC, "baa", 5).verdict == "pass"
+
+
+@pytest.fixture
+def closure_runs(monkeypatch):
+    """Closure runs started per calculus label, and build_reduction calls,
+    counted through the names the lemma suite and the engine call."""
+    runs: dict[str, int] = {}
+    levels: dict[str, int] = {}
+    original = engine.closure_levels
+
+    def counting(calc, **kwargs):
+        runs[calc.label] = runs.get(calc.label, 0) + 1
+        for lvl in original(calc, **kwargs):
+            levels[calc.label] = levels.get(calc.label, 0) + 1
+            yield lvl
+
+    bundles = []
+    build = lemmas.build_reduction
+
+    def counting_build(*args, **kwargs):
+        bundles.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "closure_levels", counting)
+    monkeypatch.setattr(lemmas, "closure_levels", counting)
+    monkeypatch.setattr(lemmas, "build_reduction", counting_build)
+    return runs, levels, bundles
+
+
+def test_lemma9_closes_each_calculus_once(closure_runs):
+    runs, _, bundles = closure_runs
+    report = check_production(collatz_system(), K_CALC, H, "aaa", 2)
+    assert report.verdict == "pass"
+    assert runs == {"productions+input": 1, "reduction:aaa": 1}
+    assert len(bundles) == 1
+
+
+def test_lemma11_non_halting_closes_each_calculus_once(closure_runs):
+    runs, _, bundles = closure_runs
+    report = check_halting_equivalence(growing_system(), K_CALC, "aa", 3)
+    assert report.witness["production_verdict"] == "pass"
+    assert runs == {"productions+input": 1, "reduction:aa": 1}
+    assert len(bundles) == 1
+
+
+def test_lemma11_halting_closes_once_and_no_deeper(closure_runs):
+    # Two target axioms share one closure run, which stops at the deepest
+    # level either axiom needs.
+    runs, levels, _ = closure_runs
+    p0 = Calculus("k+i", (WEAKENING_AXIOM, parse_formula("y -> x -> x")))
+    report = check_halting_equivalence(shrinking_system(), p0, "aa", 4)
+    assert report.verdict == "pass"
+    assert runs == {"reduction:aa": 1}
+    computed = levels["reduction:aa"]
+    full = build_reduction(shrinking_system(), p0, "aa").full
+    found = [derives(full, a, 4) for a in p0.axioms]
+    assert all(isinstance(v, Derivable) for v in found)
+    assert computed == max(v.level for v in found) + 1
 
 
 def test_lemma11_rejects_empty_target():
