@@ -13,9 +13,7 @@ import sys
 
 from .codec import HatTemplate, code_word
 from .engine import (
-    ChainProof,
     Derivable,
-    DerivationTrace,
     GeneratorCapError,
     check_trace,
     derives,
@@ -59,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     enc.add_argument("--word", required=True)
     enc.add_argument("--hat", default="x", help="one-variable template")
-    enc.add_argument("--format", choices=("text", "json"), default="json")
 
     tag = sub.add_parser("tag", help="tag system operations")
     tag_sub = tag.add_subparsers(dest="tag_command", required=True)
@@ -69,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--system", required=True, help="path to a tag file")
     run.add_argument("--input", required=True)
     run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    run.add_argument("--format", choices=("text", "json"), default="json")
     reach = tag_sub.add_parser(
         "reach", help="does the run pass through a word?", formatter_class=fmt
     )
@@ -77,7 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     reach.add_argument("--from", dest="source", required=True)
     reach.add_argument("--to", dest="target", required=True)
     reach.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    reach.add_argument("--format", choices=("text", "json"), default="json")
 
     red = sub.add_parser(
         "reduce", help="build the reduction bundle", formatter_class=fmt
@@ -85,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--system", required=True)
     red.add_argument("--input", required=True)
     red.add_argument("--p0", help="path to a calculus JSON (default: weakening axiom)")
-    red.add_argument("--format", choices=("text", "json"), default="json")
 
     der = sub.add_parser(
         "derive", help="bounded derivability query", formatter_class=fmt
@@ -94,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     der.add_argument("--goal", required=True, help="formula text")
     der.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     der.add_argument("--trace-out", help="write the trace JSON here when derivable")
-    der.add_argument("--format", choices=("text", "json"), default="json")
 
     chk = sub.add_parser(
         "check-trace", help="validate a trace file", formatter_class=fmt
@@ -102,7 +95,9 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--calculus", required=True)
     chk.add_argument("--trace", required=True)
     chk.add_argument("--claimed", required=True, help="formula text")
-    chk.add_argument("--format", choices=("text", "json"), default="json")
+
+    for cmd in (enc, run, reach, red, der, chk):
+        cmd.add_argument("--format", choices=("text", "json"), default="json")
 
     ver = sub.add_parser("verify", help="run the lemma suite", formatter_class=fmt)
     ver.add_argument("lemma", help="lemma id (lemma1, lemma3, lemma6, lemma7, lemma9, lemma11, lemma12) or 'all'")
@@ -135,19 +130,11 @@ def _cmd_encode(args) -> int:
 def _cmd_tag_run(args) -> int:
     system = _load_system(args.system)
     outcome = tag_run(system, args.input, args.max_steps)
-    if isinstance(outcome, Halted):
-        obj = {
-            "outcome": "halted",
-            "word": outcome.word,
-            "steps": outcome.steps,
-            "max_steps": args.max_steps,
-        }
-    else:
-        obj = {
-            "outcome": "budget-exhausted",
-            "word": outcome.word,
-            "max_steps": args.max_steps,
-        }
+    halted = isinstance(outcome, Halted)
+    obj = {"outcome": "halted" if halted else "budget-exhausted", "word": outcome.word}
+    if halted:
+        obj["steps"] = outcome.steps
+    obj["max_steps"] = args.max_steps
     _emit(obj, args.format)
     return 0
 
@@ -226,20 +213,10 @@ def _report_to_json(report: LemmaReport) -> dict:
 def _dump_artifacts(report: LemmaReport, directory: str, index: int) -> list[str]:
     written = []
     os.makedirs(directory, exist_ok=True)
-    for k, (name, obj) in enumerate(report.artifacts):
+    for k, (name, trace) in enumerate(report.artifacts):
         path = os.path.join(directory, f"{report.lemma}-{index}-{k}.json")
-        if isinstance(obj, DerivationTrace):
-            payload = {"name": name, "trace": trace_to_json(obj)}
-        elif isinstance(obj, ChainProof):
-            payload = {
-                "name": name,
-                "waypoints": [render_formula(w) for w in obj.waypoints],
-                "links": [trace_to_json(t) for t in obj.links],
-            }
-        else:
-            payload = {"name": name, "value": str(obj)}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump({"name": name, "trace": trace_to_json(trace)}, fh, indent=2)
             fh.write("\n")
         written.append(path)
     return written

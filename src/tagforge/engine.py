@@ -64,6 +64,7 @@ __all__ = [
     "condensed_detach",
     "derive_weakening",
     "derives",
+    "find_generators",
     "load_calculus",
     "naive_closure_oracle",
     "trace_from_json",
@@ -357,13 +358,30 @@ def derives(calc: Calculus, goal: Formula, depth: int) -> Derivable | NotFoundWi
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    checked = 0
-    for lvl in islice(closure_levels(calc), depth + 1):
-        for g in lvl.generators[checked:]:
-            if match_instance(goal, g.formula) is not None:
-                return Derivable(g.trace, g.formula, lvl.level)
-        checked = len(lvl.generators)
-    return NotFoundWithinBudget(depth)
+    ((_, hit),) = find_generators(calc, (goal,), depth)
+    if hit is None:
+        return NotFoundWithinBudget(depth)
+    return Derivable(hit.trace, hit.formula, hit.level)
+
+
+def find_generators(
+    calc: Calculus, goals: Sequence[Formula], depth: int
+) -> Iterator[tuple[Formula, Generator | None]]:
+    """Each goal with the first generator of levels 0..depth having it as an
+    instance, or None.  The goals share one closure run, which goes only as
+    deep as the goals taken so far needed."""
+    levels = islice(closure_levels(calc), depth + 1)
+    gens: tuple[Generator, ...] = ()
+    for goal in goals:
+        hit = _first_instance(gens, goal)
+        while hit is None and (lvl := next(levels, None)) is not None:
+            hit = _first_instance(lvl.generators[len(gens) :], goal)
+            gens = lvl.generators
+        yield goal, hit
+
+
+def _first_instance(generators: Sequence[Generator], goal: Formula) -> Generator | None:
+    return next((g for g in generators if match_instance(goal, g.formula) is not None), None)
 
 
 def check_trace(calc: Calculus, trace: DerivationTrace, claimed: Formula) -> bool:

@@ -13,9 +13,6 @@ states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import islice
-from typing import Iterator, Sequence
 
 from .codec import (
     DEFAULT_HAT,
@@ -35,13 +32,12 @@ from .engine import (
     ChainProof,
     ClosureLevel,
     DerivationTrace,
-    Generator,
     GeneratorCapError,
     chain_check,
     check_trace,
     closure_level,
-    closure_levels,
     derive_weakening,
+    find_generators,
 )
 from .formulas import (
     Formula,
@@ -95,7 +91,7 @@ class LemmaReport:
     verdict: str  # "pass" | "fail" | "inconclusive-budget"
     witness: dict = field(default_factory=dict)
     resources: dict = field(default_factory=dict)
-    artifacts: tuple = ()  # (name, json-able object) pairs
+    artifacts: tuple = ()  # (name, DerivationTrace) pairs
 
     @property
     def passed(self) -> bool:
@@ -433,7 +429,7 @@ def _classify(
     """check_production's report, with level n of the full reduction
     calculus when it was reached.  Each calculus is closed once, and the
     bundle, unless given, is built only after the production side passes."""
-    report = partial(LemmaReport, "lemma9", f"tag={system_label(t)} alpha={alpha!r} n={n}")
+    instance = f"tag={system_label(t)} alpha={alpha!r} n={n}"
 
     def unclassified(generators, axioms, hat) -> list[str]:
         return [
@@ -450,12 +446,16 @@ def _classify(
         resources = {"generators": len(top.generators), "levels": n}
         bad = unclassified(top.generators, pt.axioms, h)
         if bad:
-            return report("fail", {"unclassified": bad}, resources), None
+            report = LemmaReport(
+                "lemma9", instance, "fail", {"unclassified": bad}, resources
+            )
+            return report, None
         if bundle is None:
             bundle = build_reduction(t, p0, alpha, (h,) + default_hat_candidates())
         top_full = closure_level(bundle.full, n)
     except GeneratorCapError as e:
-        return report("inconclusive-budget", {"reason": str(e)}), None
+        report = LemmaReport("lemma9", instance, "inconclusive-budget", {"reason": str(e)})
+        return report, None
     guard = first_short_code_level(bundle, top_full)
     limit = guard if guard is not None else n + 1
     bad = unclassified(
@@ -466,8 +466,11 @@ def _classify(
     resources["full_generators"] = len(top_full.generators)
     resources["guard_level"] = guard
     if bad:
-        return report("fail", {"unclassified_full": bad}, resources), top_full
-    return report("pass", {}, resources), top_full
+        report = LemmaReport(
+            "lemma9", instance, "fail", {"unclassified_full": bad}, resources
+        )
+        return report, top_full
+    return LemmaReport("lemma9", instance, "pass", {}, resources), top_full
 
 
 def first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int | None:
@@ -489,26 +492,6 @@ def first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int | 
 # --- halting equivalence ----------------------------------------------------
 
 
-def _first_instance(generators: Sequence[Generator], goal: Formula) -> Generator | None:
-    return next((g for g in generators if match_instance(goal, g.formula) is not None), None)
-
-
-def _instances(
-    calc: Calculus, goals: Sequence[Formula], depth: int
-) -> Iterator[tuple[Formula, Generator | None]]:
-    """Each goal with what `derives` finds for it within `depth` levels.
-    The goals share one closure run, which goes only as deep as the goals
-    taken so far needed."""
-    levels = islice(closure_levels(calc), depth + 1)
-    gens: tuple[Generator, ...] = ()
-    for goal in goals:
-        hit = _first_instance(gens, goal)
-        while hit is None and (lvl := next(levels, None)) is not None:
-            hit = _first_instance(lvl.generators[len(gens) :], goal)
-            gens = lvl.generators
-        yield goal, hit
-
-
 def check_halting_equivalence(
     t: TagSystem, p0: Calculus, input_word: str, budget: int
 ) -> LemmaReport:
@@ -527,18 +510,18 @@ def check_halting_equivalence(
         raise ValueError("deletion number must be at least 2")
     bundle = build_reduction(t, p0, input_word)
     outcome = tag_run(t, input_word, budget)
-    report = partial(
-        LemmaReport, "lemma11", f"tag={system_label(t)} input={input_word!r} budget={budget}"
-    )
+    instance = f"tag={system_label(t)} input={input_word!r} budget={budget}"
     if isinstance(outcome, Halted):
         artifacts = []
         try:
-            for a, hit in _instances(bundle.full, p0.axioms, budget):
+            for a, hit in find_generators(bundle.full, p0.axioms, budget):
                 if hit is None:
                     # The step budget doubles as the closure depth, and a run
                     # can halt within it while the derivation needs more
                     # levels.
-                    return report(
+                    return LemmaReport(
+                        "lemma11",
+                        instance,
                         "inconclusive-budget",
                         {
                             "direction": "halting",
@@ -548,11 +531,23 @@ def check_halting_equivalence(
                         },
                     )
                 if not check_trace(bundle.full, hit.trace, a):
-                    return report("fail", {"axiom": render_formula(a), "reason": "trace rejected"})
+                    return LemmaReport(
+                        "lemma11",
+                        instance,
+                        "fail",
+                        {"axiom": render_formula(a), "reason": "trace rejected"},
+                    )
                 artifacts.append((f"trace[{render_formula(a)}]", hit.trace))
         except GeneratorCapError as e:
-            return report("inconclusive-budget", {"direction": "halting", "reason": str(e)})
-        return report(
+            return LemmaReport(
+                "lemma11",
+                instance,
+                "inconclusive-budget",
+                {"direction": "halting", "reason": str(e)},
+            )
+        return LemmaReport(
+            "lemma11",
+            instance,
             "pass",
             {"direction": "halting", "axioms": len(p0.axioms), "halt_steps": outcome.steps},
             {},
@@ -560,20 +555,30 @@ def check_halting_equivalence(
         )
     production, top = _classify(t, p0, bundle.hat, input_word, budget, bundle)
     if production.verdict == "fail":
-        return report("fail", {"production_check": production.witness})
+        return LemmaReport(
+            "lemma11", instance, "fail", {"production_check": production.witness}
+        )
     if top is None:
-        reason = production.witness["reason"]
-        return report("inconclusive-budget", {"direction": "non-halting", "reason": reason})
+        return LemmaReport(
+            "lemma11",
+            instance,
+            "inconclusive-budget",
+            {"direction": "non-halting", "reason": production.witness["reason"]},
+        )
     for a in p0.axioms:
-        if _first_instance(top.generators, a) is not None:
-            return report(
+        if any(match_instance(a, g.formula) is not None for g in top.generators):
+            return LemmaReport(
+                "lemma11",
+                instance,
                 "fail",
                 {
                     "reason": "axiom derivable although the run did not halt in budget",
                     "axiom": render_formula(a),
                 },
             )
-    return report(
+    return LemmaReport(
+        "lemma11",
+        instance,
         "inconclusive-budget",
         {"direction": "non-halting", "production_verdict": production.verdict},
     )

@@ -24,6 +24,7 @@ from tagforge.engine import (
     condensed_detach,
     derive_weakening,
     derives,
+    find_generators,
     naive_closure_oracle,
     trace_from_json,
     trace_to_json,
@@ -89,6 +90,20 @@ def test_derives_letter_and_word_codes_at_level_zero():
         v = derives(K_CALC, member, 0)
         assert isinstance(v, Derivable)
         assert check_trace(K_CALC, v.trace, member)
+
+
+def test_find_generators_agrees_with_derives():
+    # Deep before shallow, a repeat, and a miss, in one shared closure run.
+    ks = Calculus("ks", (K, S))
+    goals = (p("a -> a"), K, p("a -> a"), Var("a"), p("a -> b -> a"))
+    found = list(find_generators(ks, goals, 3))
+    assert [goal for goal, _ in found] == list(goals)
+    for goal, hit in found:
+        v = derives(ks, goal, 3)
+        if hit is None:
+            assert v == NotFoundWithinBudget(3)
+        else:
+            assert v == Derivable(hit.trace, hit.formula, hit.level)
 
 
 def test_derives_negative_control():
