@@ -130,11 +130,19 @@ def _cmd_encode(args) -> int:
 def _cmd_tag_run(args) -> int:
     system = _load_system(args.system)
     outcome = tag_run(system, args.input, args.max_steps)
-    halted = isinstance(outcome, Halted)
-    obj = {"outcome": "halted" if halted else "budget-exhausted", "word": outcome.word}
-    if halted:
-        obj["steps"] = outcome.steps
-    obj["max_steps"] = args.max_steps
+    if isinstance(outcome, Halted):
+        obj = {
+            "outcome": "halted",
+            "word": outcome.word,
+            "steps": outcome.steps,
+            "max_steps": args.max_steps,
+        }
+    else:
+        obj = {
+            "outcome": "budget-exhausted",
+            "word": outcome.word,
+            "max_steps": args.max_steps,
+        }
     _emit(obj, args.format)
     return 0
 

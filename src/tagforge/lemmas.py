@@ -415,7 +415,12 @@ def check_production(
     short-word code instance appears (past that point the halting hooks are
     expected to inject the target calculus).
     """
-    return _classify(t, p0, h, alpha, n)[0]
+    instance = f"tag={system_label(t)} alpha={alpha!r} n={n}"
+    try:
+        verdict, witness, resources, _ = _classify(t, p0, h, alpha, n)
+    except GeneratorCapError as e:
+        return LemmaReport("lemma9", instance, "inconclusive-budget", {"reason": str(e)})
+    return LemmaReport("lemma9", instance, verdict, witness, resources)
 
 
 def _classify(
@@ -425,11 +430,11 @@ def _classify(
     alpha: str,
     n: int,
     bundle: ReductionBundle | None = None,
-) -> tuple[LemmaReport, ClosureLevel | None]:
-    """check_production's report, with level n of the full reduction
-    calculus when it was reached.  Each calculus is closed once, and the
-    bundle, unless given, is built only after the production side passes."""
-    instance = f"tag={system_label(t)} alpha={alpha!r} n={n}"
+) -> tuple[str, dict, dict, ClosureLevel | None]:
+    """check_production's verdict, witness and resources, with level n of
+    the full reduction calculus when it was reached.  Each calculus is
+    closed once, and the bundle, unless given, is built only after the
+    production side passes.  A cap overflow raises `GeneratorCapError`."""
 
     def unclassified(generators, axioms, hat) -> list[str]:
         return [
@@ -441,21 +446,14 @@ def _classify(
 
     pt = build_PT(t, h)
     base = Calculus("productions+input", pt.axioms + code_word(h, alpha).formulas)
-    try:
-        top = closure_level(base, n)
-        resources = {"generators": len(top.generators), "levels": n}
-        bad = unclassified(top.generators, pt.axioms, h)
-        if bad:
-            report = LemmaReport(
-                "lemma9", instance, "fail", {"unclassified": bad}, resources
-            )
-            return report, None
-        if bundle is None:
-            bundle = build_reduction(t, p0, alpha, (h,) + default_hat_candidates())
-        top_full = closure_level(bundle.full, n)
-    except GeneratorCapError as e:
-        report = LemmaReport("lemma9", instance, "inconclusive-budget", {"reason": str(e)})
-        return report, None
+    top = closure_level(base, n)
+    resources = {"generators": len(top.generators), "levels": n}
+    bad = unclassified(top.generators, pt.axioms, h)
+    if bad:
+        return "fail", {"unclassified": bad}, resources, None
+    if bundle is None:
+        bundle = build_reduction(t, p0, alpha, (h,) + default_hat_candidates())
+    top_full = closure_level(bundle.full, n)
     guard = first_short_code_level(bundle, top_full)
     limit = guard if guard is not None else n + 1
     bad = unclassified(
@@ -466,11 +464,8 @@ def _classify(
     resources["full_generators"] = len(top_full.generators)
     resources["guard_level"] = guard
     if bad:
-        report = LemmaReport(
-            "lemma9", instance, "fail", {"unclassified_full": bad}, resources
-        )
-        return report, top_full
-    return LemmaReport("lemma9", instance, "pass", {}, resources), top_full
+        return "fail", {"unclassified_full": bad}, resources, top_full
+    return "pass", {}, resources, top_full
 
 
 def first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int | None:
@@ -511,9 +506,10 @@ def check_halting_equivalence(
     bundle = build_reduction(t, p0, input_word)
     outcome = tag_run(t, input_word, budget)
     instance = f"tag={system_label(t)} input={input_word!r} budget={budget}"
-    if isinstance(outcome, Halted):
-        artifacts = []
-        try:
+    halted = isinstance(outcome, Halted)
+    try:
+        if halted:
+            artifacts = []
             for a, hit in find_generators(bundle.full, p0.axioms, budget):
                 if hit is None:
                     # The step budget doubles as the closure depth, and a run
@@ -538,33 +534,24 @@ def check_halting_equivalence(
                         {"axiom": render_formula(a), "reason": "trace rejected"},
                     )
                 artifacts.append((f"trace[{render_formula(a)}]", hit.trace))
-        except GeneratorCapError as e:
             return LemmaReport(
                 "lemma11",
                 instance,
-                "inconclusive-budget",
-                {"direction": "halting", "reason": str(e)},
+                "pass",
+                {"direction": "halting", "axioms": len(p0.axioms), "halt_steps": outcome.steps},
+                {},
+                tuple(artifacts),
             )
-        return LemmaReport(
-            "lemma11",
-            instance,
-            "pass",
-            {"direction": "halting", "axioms": len(p0.axioms), "halt_steps": outcome.steps},
-            {},
-            tuple(artifacts),
-        )
-    production, top = _classify(t, p0, bundle.hat, input_word, budget, bundle)
-    if production.verdict == "fail":
-        return LemmaReport(
-            "lemma11", instance, "fail", {"production_check": production.witness}
-        )
-    if top is None:
+        verdict, witness, _, top = _classify(t, p0, bundle.hat, input_word, budget, bundle)
+    except GeneratorCapError as e:
         return LemmaReport(
             "lemma11",
             instance,
             "inconclusive-budget",
-            {"direction": "non-halting", "reason": production.witness["reason"]},
+            {"direction": "halting" if halted else "non-halting", "reason": str(e)},
         )
+    if verdict == "fail":
+        return LemmaReport("lemma11", instance, "fail", {"production_check": witness})
     for a in p0.axioms:
         if any(match_instance(a, g.formula) is not None for g in top.generators):
             return LemmaReport(
@@ -580,7 +567,7 @@ def check_halting_equivalence(
         "lemma11",
         instance,
         "inconclusive-budget",
-        {"direction": "non-halting", "production_verdict": production.verdict},
+        {"direction": "non-halting", "production_verdict": verdict},
     )
 
 
