@@ -38,7 +38,11 @@ def _load_system(path: str):
 def _emit(obj: dict, fmt: str, out=None) -> None:
     out = out or sys.stdout
     if fmt == "json":
-        print(json.dumps(obj, indent=2, sort_keys=False), file=out)
+        # Streamed in chunks: a reduction bundle renders to megabytes, and
+        # joining it into one string (then one bytes object) first would
+        # hold two more copies of it at the peak of `reduce`.
+        json.dump(obj, out, indent=2, sort_keys=False)
+        out.write("\n")
     else:
         for key, value in obj.items():
             print(f"{key}: {value}", file=out)

@@ -1,10 +1,14 @@
 """CLI tests: subcommand behaviour, exit codes, output determinism."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from tagforge.cli import main
+from tagforge.cli import _emit, main
+from tagforge.engine import load_calculus
+from tagforge.reduction import build_reduction, bundle_to_json
+from tagforge.tags import parse_tag_system
 
 COLLATZ = "d=2\na -> bc\nb -> a\nc -> aaa\n"
 K_JSON = {"label": "weakening", "axioms": ["x -> y -> x"]}
@@ -99,6 +103,25 @@ def test_reduce(capsys, tagfile, calcfile):
     }
     assert obj["tag_file"] == COLLATZ
     assert obj["p0"] == K_JSON
+
+
+def test_json_output_is_streamed(calcfile, tmp_path):
+    """JSON output is written piece by piece: writing a reduction bundle
+    allocates less than the size of its text, where joining the text first
+    allocates twice that."""
+    bundle = build_reduction(parse_tag_system(COLLATZ), load_calculus(calcfile), "aa")
+    obj = bundle_to_json(bundle)
+    path = tmp_path / "bundle.json"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            _emit(obj, "json", out=fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    text = path.read_text(encoding="utf-8")
+    assert text == json.dumps(obj, indent=2) + "\n"
+    assert peak < len(text)
 
 
 def test_derive_and_check_trace(capsys, calcfile, tmp_path):
