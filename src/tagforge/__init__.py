@@ -58,7 +58,6 @@ from .lemmas import (
     LemmaReport,
     WEAKENING_AXIOM,
     build_chain_lemma6,
-    build_chain_lemma7,
     build_run_chain,
     check_halting_equivalence,
     check_inclusion,
@@ -66,7 +65,6 @@ from .lemmas import (
     check_lemma3,
     check_production,
     collatz_system,
-    first_short_code_level,
     run_lemma,
 )
 from .reduction import (

@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     enc.add_argument("--word", required=True)
     enc.add_argument("--hat", default="x", help="one-variable template")
+    enc.set_defaults(handler=_cmd_encode)
 
     tag = sub.add_parser("tag", help="tag system operations")
     tag_sub = tag.add_subparsers(dest="tag_command", required=True)
@@ -70,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--system", required=True, help="path to a tag file")
     run.add_argument("--input", required=True)
     run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    run.set_defaults(handler=_cmd_tag_run)
     reach = tag_sub.add_parser(
         "reach", help="does the run pass through a word?", formatter_class=fmt
     )
@@ -77,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     reach.add_argument("--from", dest="source", required=True)
     reach.add_argument("--to", dest="target", required=True)
     reach.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    reach.set_defaults(handler=_cmd_tag_reach)
 
     red = sub.add_parser(
         "reduce", help="build the reduction bundle", formatter_class=fmt
@@ -84,6 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     red.add_argument("--system", required=True)
     red.add_argument("--input", required=True)
     red.add_argument("--p0", help="path to a calculus JSON (default: weakening axiom)")
+    red.set_defaults(handler=_cmd_reduce)
 
     der = sub.add_parser(
         "derive", help="bounded derivability query", formatter_class=fmt
@@ -92,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     der.add_argument("--goal", required=True, help="formula text")
     der.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     der.add_argument("--trace-out", help="write the trace JSON here when derivable")
+    der.set_defaults(handler=_cmd_derive)
 
     chk = sub.add_parser(
         "check-trace", help="validate a trace file", formatter_class=fmt
@@ -99,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--calculus", required=True)
     chk.add_argument("--trace", required=True)
     chk.add_argument("--claimed", required=True, help="formula text")
+    chk.set_defaults(handler=_cmd_check_trace)
 
     for cmd in (enc, run, reach, red, der, chk):
         cmd.add_argument("--format", choices=("text", "json"), default="json")
@@ -114,6 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--budget", type=int, help="step/level budget")
     ver.add_argument("--depth", type=int, help="closure depth for structure checks")
     ver.add_argument("--output", help="directory for witness files")
+    ver.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -263,27 +270,12 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "encode":
-            return _cmd_encode(args)
-        if args.command == "tag":
-            if args.tag_command == "run":
-                return _cmd_tag_run(args)
-            return _cmd_tag_reach(args)
-        if args.command == "reduce":
-            return _cmd_reduce(args)
-        if args.command == "derive":
-            return _cmd_derive(args)
-        if args.command == "check-trace":
-            return _cmd_check_trace(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (ValueError, OSError, KeyError, TypeError, GeneratorCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -292,7 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         # unify's _resolve still recurse once per nesting level.
         print("error: formula nested too deeply", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

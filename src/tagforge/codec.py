@@ -256,61 +256,67 @@ def decode(h: HatTemplate, f: Formula) -> AlphabeticFormula | None:
     """Recover the unique parse of f under h's encoding, or None.
 
     Present exactly when f is an alphabetic formula (a letter code or a dot of
-    two alphabetic formulas) for this template.  The right spine is walked in
-    a loop and only left operands recurse, so a right-nested code of any
-    length decodes.
+    two alphabetic formulas) for this template.  The right spine of each
+    operand is walked in a loop, and left operands wait on an explicit stack,
+    so a code of any length and bracketing decodes.
     """
-    spine: list[tuple[Formula, AlphabeticFormula]] = []  # dot nodes, root first
-    while True:
-        if type(f) is not Imp or type(f.right) is not Imp:
-            return None
-        pivot, body = f.left, f.right
-        if body.right != pivot or type(pivot) is not Imp or type(pivot.left) is not Imp:
-            return None
-        q = pivot.right
-        if pivot.left.left != q or pivot.left.right != q:
-            return None
-        y_arg = _unhat(h, q)
-        x_arg = _unhat(h, body.left)
-        if y_arg is None or x_arg is None:
-            return None
-        index = _letter_chain_index(x_arg)
-        if index is not None:
-            if y_arg != _P or not 1 <= index <= 26:
+    # Formulas still to parse, and 1-tuples holding a dot node whose operands'
+    # parses are on top of `done`, the left one uppermost.
+    todo: list[Formula | tuple[Formula]] = [f]
+    done: list[AlphabeticFormula] = []
+    while todo:
+        item = todo.pop()
+        if type(item) is tuple:
+            left = done.pop()
+            result = dot_code(h, left, done.pop())
+            if result.formula != item[0]:
                 return None
-            result = letter_code(h, chr(ord("a") + index - 1))
-            if result.formula != f:
+            done.append(result)
+            continue
+        f = item
+        while True:
+            if type(f) is not Imp or type(f.right) is not Imp:
                 return None
-            break
-        if not (
-            type(x_arg) is Imp
-            and type(x_arg.left) is Imp
-            and x_arg.left.left == x_arg.right
-            and x_arg.left.right == x_arg.right
-        ):
-            return None
-        left = decode(h, x_arg.right)
-        if left is None:
-            return None
-        spine.append((f, left))
-        f = y_arg
-    for node, left in reversed(spine):
-        result = dot_code(h, left, result)
-        if result.formula != node:
-            return None
-    return result
+            pivot, body = f.left, f.right
+            if body.right != pivot or type(pivot) is not Imp or type(pivot.left) is not Imp:
+                return None
+            q = pivot.right
+            if pivot.left.left != q or pivot.left.right != q:
+                return None
+            y_arg = _unhat(h, q)
+            x_arg = _unhat(h, body.left)
+            if y_arg is None or x_arg is None:
+                return None
+            index = _letter_chain_index(x_arg)
+            if index is not None:
+                if y_arg != _P or not 1 <= index <= 26:
+                    return None
+                result = letter_code(h, chr(ord("a") + index - 1))
+                if result.formula != f:
+                    return None
+                done.append(result)
+                break
+            if not (
+                type(x_arg) is Imp
+                and type(x_arg.left) is Imp
+                and x_arg.left.left == x_arg.right
+                and x_arg.left.right == x_arg.right
+            ):
+                return None
+            todo.append((f,))
+            todo.append(x_arg.right)
+            f = y_arg
+    return done[0]
 
 
 def choose_hat(p0, candidates: Sequence[HatTemplate]) -> HatTemplate:
-    """First candidate whose circ patterns are instantiated by no axiom of p0.
+    """First candidate whose circ patterns are instantiated by no axiom of the
+    calculus p0.
 
-    p0 may be a Calculus or any iterable of formulas.  A candidate is rejected
-    when some axiom is an instance of circ(h, x, y) or of circ(h, x, y) -> z,
-    since such an axiom could masquerade as encoded data.
+    A candidate is rejected when some axiom is an instance of circ(h, x, y) or
+    of circ(h, x, y) -> z, since such an axiom could masquerade as encoded
+    data.
     """
-    axioms = getattr(p0, "axioms", None)
-    if axioms is None:
-        axioms = tuple(p0)
     if not candidates:
         raise HatExhaustionError("no hat candidates supplied")
     x, y, z = Var("x"), Var("y"), Var("z")
@@ -319,7 +325,7 @@ def choose_hat(p0, candidates: Sequence[HatTemplate]) -> HatTemplate:
         pat_imp = Imp(pat, z)
         if any(
             match_instance(ax, pat) is not None or match_instance(ax, pat_imp) is not None
-            for ax in axioms
+            for ax in p0.axioms
         ):
             continue
         return h

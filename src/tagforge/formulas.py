@@ -360,8 +360,8 @@ def alpha_equal(a: Formula, b: Formula) -> bool:
     return True
 
 
-def canonical_rename(f: Formula, prefix: str = "x") -> Formula:
-    """Rename variables to prefix1, prefix2, ... in first-occurrence order.
+def canonical_rename(f: Formula) -> Formula:
+    """Rename variables to x1, x2, ... in first-occurrence order.
 
     Two formulas are alpha-equal exactly when their canonical forms are equal,
     which makes deduplication a plain set lookup.
@@ -369,7 +369,7 @@ def canonical_rename(f: Formula, prefix: str = "x") -> Formula:
     mapping: Substitution = {}
     identity = True
     for i, v in enumerate(variables(f), start=1):
-        new = f"{prefix}{i}"
+        new = f"x{i}"
         mapping[v] = Var(new)
         if new != v:
             identity = False

@@ -13,6 +13,7 @@ states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .codec import (
     DEFAULT_HAT,
@@ -64,7 +65,6 @@ __all__ = [
     "LemmaReport",
     "WEAKENING_AXIOM",
     "build_chain_lemma6",
-    "build_chain_lemma7",
     "build_run_chain",
     "check_halting_equivalence",
     "check_inclusion",
@@ -73,7 +73,6 @@ __all__ = [
     "check_production",
     "collatz_system",
     "enumerate_alphabetic",
-    "first_short_code_level",
     "growing_system",
     "rebracketing_calculus",
     "run_lemma",
@@ -137,19 +136,33 @@ def check_lemma1(h: HatTemplate) -> LemmaReport:
 
 # --- code separation --------------------------------------------------------
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _sweep_words(alphabet_size: int, max_len: int) -> Iterator[str]:
+    """Every word of length 1 to max_len over the first alphabet_size letters,
+    shorter words first.  The bounds are checked before any word is made: a
+    sweep with no words, or with letters past z, would pass having checked
+    nothing."""
+    if not 1 <= alphabet_size <= len(_LETTERS) or max_len < 1:
+        raise ValueError(
+            f"alphabet_size must be 1 to {len(_LETTERS)} and max_len at least 1,"
+            f" got {alphabet_size} and {max_len}"
+        )
+    letters = tuple(_LETTERS[:alphabet_size])
+    return (
+        word for length in range(1, max_len + 1) for word in words_of_length(letters, length)
+    )
+
 
 def enumerate_alphabetic(
     h: HatTemplate, alphabet_size: int, max_len: int
 ) -> list[AlphabeticFormula]:
     """All code members for all words up to max_len over the first
     alphabet_size letters, in word order then bracketing order."""
-    if alphabet_size < 1 or max_len < 1:
-        raise ValueError("alphabet_size and max_len must be positive")
-    letters = tuple("abcdefghijklmnopqrstuvwxyz"[:alphabet_size])
     out: list[AlphabeticFormula] = []
-    for length in range(1, max_len + 1):
-        for word in words_of_length(letters, length):
-            out.extend(code_word(h, word).members)
+    for word in _sweep_words(alphabet_size, max_len):
+        out.extend(code_word(h, word).members)
     return out
 
 
@@ -335,9 +348,12 @@ def build_chain_lemma6(
 # --- production chains ------------------------------------------------------
 
 
-def build_chain_lemma7(t: TagSystem, h: HatTemplate, word: str) -> ChainProof:
-    """A chain from the code of `word` to the code of its successor under one
-    production, checkable against build_PT(t, h).
+def _production_chain(
+    t: TagSystem, h: HatTemplate, word: str, index: dict[Formula, int]
+) -> ChainProof:
+    """A chain from the code of `word`, at least t.deletion letters long, to
+    the code of its successor under one production, with link axioms
+    numbered by `index`, the axiom index of build_PT(t, h).
 
     Chosen endpoints are the right-nested members.  When nothing is left of
     the word beyond the consumed head, a single direct production axiom links
@@ -345,15 +361,7 @@ def build_chain_lemma7(t: TagSystem, h: HatTemplate, word: str) -> ChainProof:
     one production axiom fires with the tail bound to the scheme variable,
     and the result is rebracketed to the spine.
     """
-    return _production_chain(t, h, word, _axiom_index(build_PT(t, h)))
-
-
-def _production_chain(
-    t: TagSystem, h: HatTemplate, word: str, index: dict[Formula, int]
-) -> ChainProof:
     nxt = tag_step(t, word)
-    if nxt is None:
-        raise ValueError(f"tag system not applicable to {word!r}")
     d = t.deletion
     head, beta = word[:d], word[d:]
     omega = t.productions[word[0]]
@@ -454,7 +462,7 @@ def _classify(
     if bundle is None:
         bundle = build_reduction(t, p0, alpha, (h,) + default_hat_candidates())
     top_full = closure_level(bundle.full, n)
-    guard = first_short_code_level(bundle, top_full)
+    guard = _first_short_code_level(bundle, top_full)
     limit = guard if guard is not None else n + 1
     bad = unclassified(
         [g for g in top_full.generators if g.level < limit],
@@ -468,7 +476,7 @@ def _classify(
     return "pass", {}, resources, top_full
 
 
-def first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int | None:
+def _first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int | None:
     """Smallest level of a generator in `top`, a closure level of the full
     reduction calculus, that meets the code of a word shorter than the
     deletion number (instance in either direction), or None."""
@@ -687,32 +695,25 @@ def run_lemma(lemma_id: str, options: dict | None = None) -> list[LemmaReport]:
 
 
 def _sweep_lemma6(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaReport:
+    instance = f"hat={h.text} alphabet={alphabet_size} max_len={max_len}"
     calc = rebracketing_calculus(h)
     index = _axiom_index(calc)
-    letters = tuple("abcdefghijklmnopqrstuvwxyz"[:alphabet_size])
     chains = 0
-    for length in range(1, max_len + 1):
-        for word in words_of_length(letters, length):
-            members = code_word(h, word).members
-            for source in members:
-                for target in members:
-                    chain = _rotation_chain(h, source, target, index)
-                    if not chain_check(calc, chain):
-                        return LemmaReport(
-                            "lemma6",
-                            f"alphabet={alphabet_size} max_len={max_len}",
-                            "fail",
-                            {
-                                "word": word,
-                                "source": render_formula(source.formula),
-                                "target": render_formula(target.formula),
-                            },
-                        )
-                    chains += 1
-    return LemmaReport(
-        "lemma6",
-        f"hat={h.text} alphabet={alphabet_size} max_len={max_len}",
-        "pass",
-        {},
-        {"chains": chains},
-    )
+    for word in _sweep_words(alphabet_size, max_len):
+        members = code_word(h, word).members
+        for source in members:
+            for target in members:
+                chain = _rotation_chain(h, source, target, index)
+                if not chain_check(calc, chain):
+                    return LemmaReport(
+                        "lemma6",
+                        instance,
+                        "fail",
+                        {
+                            "word": word,
+                            "source": render_formula(source.formula),
+                            "target": render_formula(target.formula),
+                        },
+                    )
+                chains += 1
+    return LemmaReport("lemma6", instance, "pass", {}, {"chains": chains})

@@ -242,6 +242,25 @@ def test_domain_error_exit_1(capsys, tmp_path):
     assert main(["encode", "--word", ""]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma6", "--max-len", "0"],
+        ["lemma6", "--alphabet", "0"],
+        ["lemma6", "--alphabet", "27", "--max-len", "1"],
+        ["lemma3", "--alphabet", "27", "--max-len", "1"],
+    ],
+    ids=["lemma6-no-length", "lemma6-no-letters", "lemma6-27-letters", "lemma3-27-letters"],
+)
+def test_verify_sweep_bounds_exit_1(capsys, argv):
+    # a sweep with no words, or with letters past z, checks nothing: it is
+    # an error, not a pass
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_text_format(capsys, tagfile):
     code = main(
         ["tag", "run", "--system", tagfile, "--input", "aaa", "--format", "text"]

@@ -187,6 +187,16 @@ def test_decode_long_right_nested_code():
     assert decode(H, spine_on_left.formula) is spine_on_left
 
 
+def test_decode_long_left_nested_code():
+    # Each dot's left operand is the code of all letters before it, so the
+    # parse is 1,200 dots deep on the left.
+    word = "ab" * 600
+    code = letter_code(H, word[0])
+    for letter in word[1:]:
+        code = dot_code(H, code, letter_code(H, letter))
+    assert decode(H, code.formula) is code
+
+
 def test_all_members_single_variable_p():
     for word in ("a", "bc", "abc"):
         for f in code_word(H, word).formulas:

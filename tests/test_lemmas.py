@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagforge import engine, lemmas
-from tagforge.codec import DEFAULT_HAT, HatTemplate, code_word, decode
+from tagforge.codec import DEFAULT_HAT, HatTemplate, code_word, decode, right_nested
 from tagforge.engine import (
     AxiomStep,
     Calculus,
@@ -19,8 +19,8 @@ from tagforge.engine import (
 from tagforge.formulas import match_instance, parse_formula
 from tagforge.lemmas import (
     WEAKENING_AXIOM,
+    _first_short_code_level,
     build_chain_lemma6,
-    build_chain_lemma7,
     build_run_chain,
     check_halting_equivalence,
     check_inclusion,
@@ -29,7 +29,6 @@ from tagforge.lemmas import (
     check_production,
     collatz_system,
     enumerate_alphabetic,
-    first_short_code_level,
     growing_system,
     rebracketing_calculus,
     run_lemma,
@@ -147,7 +146,7 @@ def test_lemma6_rejects_word_mismatch():
 
 def test_lemma7_with_leftover_tail():
     t = collatz_system()
-    chain = build_chain_lemma7(t, H, "aaa")
+    chain = build_run_chain(t, H, "aaa", 1)
     assert chain_check(build_PT(t, H), chain)
     assert decode(H, chain.waypoints[0]).word == "aaa"
     assert decode(H, chain.waypoints[-1]).word == tag_step(t, "aaa") == "abc"
@@ -155,7 +154,7 @@ def test_lemma7_with_leftover_tail():
 
 def test_lemma7_whole_word_consumed():
     t = shrinking_system()
-    chain = build_chain_lemma7(t, H, "aa")
+    chain = build_run_chain(t, H, "aa", 1)
     assert len(chain.links) == 1
     step = chain.links[0].steps[0]
     t1_size = 4  # 2 letters x 2 tails x 1 bracketing each
@@ -164,8 +163,10 @@ def test_lemma7_whole_word_consumed():
 
 
 def test_lemma7_requires_applicability():
-    with pytest.raises(ValueError):
-        build_chain_lemma7(collatz_system(), H, "a")
+    # a word shorter than the deletion number takes no production step
+    chain = build_run_chain(collatz_system(), H, "a", 5)
+    assert chain.links == ()
+    assert chain.waypoints == (right_nested(H, "a").formula,)
 
 
 def test_corollary5_full_halting_run():
@@ -220,12 +221,12 @@ def test_lemma9_detects_poisoned_axioms():
 def test_first_short_code_level_values():
     p0 = K_CALC
     halting = build_reduction(shrinking_system(), p0, "aa")
-    assert first_short_code_level(halting, closure_level(halting.full, 4)) == 1
+    assert _first_short_code_level(halting, closure_level(halting.full, 4)) == 1
     growing = build_reduction(growing_system(), p0, "aa")
-    assert first_short_code_level(growing, closure_level(growing.full, 4)) is None
+    assert _first_short_code_level(growing, closure_level(growing.full, 4)) is None
     # an input already shorter than the deletion number is its own witness
     immediate = build_reduction(shrinking_system(), p0, "a")
-    assert first_short_code_level(immediate, closure_level(immediate.full, 4)) == 0
+    assert _first_short_code_level(immediate, closure_level(immediate.full, 4)) == 0
 
 
 def test_lemma11_halting_direction():
