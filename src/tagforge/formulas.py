@@ -10,6 +10,14 @@ formula returns the existing object when a structurally equal one is alive,
 so structural equality is object identity and `==` and `hash` are the
 default identity ones.  The intern tables are module-global and not locked;
 the package runs on one thread.
+
+Each node also stores, when it is built, its variable names in
+first-occurrence order, so `variables` is a field read, and `unify`'s occurs
+check and `apply_substitution` skip any subterm that no binding reaches.  The
+tuple is kept only up to `_NAMES_CAP` names; a node with more stores None,
+and `variables` walks it, so building a formula stays linear in its size.
+`render_formula` renders a subformula that occurs more than once in the
+formula's DAG to text once per call, and reuses that text.
 """
 
 from __future__ import annotations
@@ -49,10 +57,28 @@ def _immutable(self, *args):
     raise AttributeError(f"{type(self).__name__} nodes are interned and immutable")
 
 
+# Longest variable tuple a node stores.  Above it the tuple is None: storing
+# it would make a chain of n distinct variables cost n^2 time and memory.
+_NAMES_CAP = 32
+
+
+def _merge_names(
+    left: tuple[str, ...] | None, right: tuple[str, ...] | None
+) -> tuple[str, ...] | None:
+    if left is None or right is None:
+        return None
+    extra = [v for v in right if v not in left]
+    if not extra:
+        return left
+    if len(left) + len(extra) > _NAMES_CAP:
+        return None
+    return left + tuple(extra)
+
+
 class Var:
     """A propositional variable; one object per name."""
 
-    __slots__ = ("name", "__weakref__")
+    __slots__ = ("name", "_names", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, name: str) -> "Var":
@@ -62,6 +88,7 @@ class Var:
                 raise ValueError(f"invalid variable name: {name!r}")
             node = object.__new__(cls)
             object.__setattr__(node, "name", name)
+            object.__setattr__(node, "_names", (name,))
             _VARS[name] = node
         return node
 
@@ -72,7 +99,7 @@ class Var:
 class Imp:
     """An implication node; one object per (left, right) pair."""
 
-    __slots__ = ("left", "right", "__weakref__")
+    __slots__ = ("left", "right", "_names", "__weakref__")
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, left: "Formula", right: "Formula") -> "Imp":
@@ -82,6 +109,7 @@ class Imp:
             node = object.__new__(cls)
             object.__setattr__(node, "left", left)
             object.__setattr__(node, "right", right)
+            object.__setattr__(node, "_names", _merge_names(left._names, right._names))
             _IMPS[key] = node
         return node
 
@@ -153,24 +181,59 @@ def parse_formula(text: str) -> Formula:
             i += 1
 
 
+def _shared_imps(f: Formula) -> dict[int, None]:
+    """The implications reached more than once in f's DAG, keyed by id."""
+    seen: set[int] = set()
+    shared: dict[int, None] = {}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Imp:
+            if id(g) in seen:
+                shared[id(g)] = None
+            else:
+                seen.add(id(g))
+                stack.append(g.right)
+                stack.append(g.left)
+    return shared
+
+
 def render_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; inverse of parse_formula.
 
     Iterative, like the parser: a formula nested deeper than the recursion
-    limit still prints.
+    limit still prints.  A subformula that occurs more than once in f's DAG
+    is rendered once and its text reused; other subformulas are streamed, so
+    memory stays linear in the DAG plus the text.
     """
+    # id -> text of each shared implication, None until it has been rendered.
+    texts = _shared_imps(f)
     parts: list[str] = []
-    # Formulas still to render without outer parentheses, and text pieces,
-    # the next one last.
-    todo: list[Formula | str] = [f]
+    # Formulas still to render without outer parentheses, text pieces, and
+    # (id, start) marks closing a shared implication whose text begins at
+    # parts[start]; the next one last.
+    todo: list[Formula | str | tuple[int, int]] = [f]
     while todo:
         g = todo.pop()
         if type(g) is str:
             parts.append(g)
             continue
+        if type(g) is tuple:
+            key, start = g
+            text = "".join(parts[start:])
+            del parts[start:]
+            parts.append(text)
+            texts[key] = text
+            continue
         # Walk g's right spine; an implication on the left is bracketed and
         # rendered first, the rest of the spine after its ") -> ".
         while type(g) is Imp:
+            if id(g) in texts:
+                text = texts[id(g)]
+                if text is not None:
+                    parts.append(text)
+                    break
+                todo.append((id(g), len(parts)))
             left = g.left
             if type(left) is Imp:
                 parts.append("(")
@@ -181,22 +244,30 @@ def render_formula(f: Formula) -> str:
                 parts.append(left.name)
                 parts.append(" -> ")
                 g = g.right
-        parts.append(g.name)
+        else:  # the spine ends in a variable, not in reused text
+            parts.append(g.name)
     return "".join(parts)
 
 
 def variables(f: Formula) -> tuple[str, ...]:
     """Variable names in first-occurrence order, deduplicated."""
+    names = f._names
+    if names is not None:
+        return names
+    # Over the cap: walk the nodes without a stored tuple; a subterm that has
+    # one contributes its names in order.
     out: list[str] = []
     seen: set[str] = set()
     visited: set[int] = set()
     stack = [f]
     while stack:
         g = stack.pop()
-        if type(g) is Var:
-            if g.name not in seen:
-                seen.add(g.name)
-                out.append(g.name)
+        names = g._names
+        if names is not None:
+            for name in names:
+                if name not in seen:
+                    seen.add(name)
+                    out.append(name)
         elif id(g) not in visited:
             visited.add(id(g))
             stack.append(g.right)
@@ -208,11 +279,15 @@ def apply_substitution(subst: Substitution, f: Formula) -> Formula:
     """Replace every occurrence of each bound variable, simultaneously."""
     if not subst:
         return f
+    keys = subst.keys()
     memo: dict[int, Formula] = {}
 
     def go(g: Formula) -> Formula:
         if type(g) is Var:
             return subst.get(g.name, g)
+        names = g._names
+        if names is not None and keys.isdisjoint(names):
+            return g
         r = memo.get(id(g))
         if r is None:
             left = go(g.left)
@@ -234,12 +309,16 @@ def _walk(t: Formula, subst: dict[str, Formula]) -> Formula:
 
 
 def _occurs(name: str, t: Formula, subst: dict[str, Formula]) -> bool:
+    keys = subst.keys()
     visited: set[int] = set()
     stack = [t]
     while stack:
         g = _walk(stack.pop(), subst)
-        if type(g) is Var:
-            if g.name == name:
+        names = g._names
+        # A subterm with no bound variable reads as written.  An unbound
+        # variable, which _walk ends on, always takes this branch.
+        if names is not None and keys.isdisjoint(names):
+            if name in names:
                 return True
         elif id(g) not in visited:
             visited.add(id(g))
@@ -308,6 +387,8 @@ def match_instance(candidate: Formula, pattern: Formula) -> Substitution | None:
     """Substitution s with s(pattern) == candidate, binding only pattern's
     variables; None when candidate is not an instance of pattern.  Identity
     bindings are omitted."""
+    if candidate is pattern:
+        return {}
     binds: dict[str, Formula] = {}
     stack = [(pattern, candidate)]
     seen: set[tuple[int, int]] = set()

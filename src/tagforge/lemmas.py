@@ -19,6 +19,7 @@ from .codec import (
     DEFAULT_HAT,
     AlphabeticFormula,
     HatTemplate,
+    catalan,
     circ,
     code_word,
     decode,
@@ -139,16 +140,20 @@ def check_lemma1(h: HatTemplate) -> LemmaReport:
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _sweep_words(alphabet_size: int, max_len: int) -> Iterator[str]:
-    """Every word of length 1 to max_len over the first alphabet_size letters,
-    shorter words first.  The bounds are checked before any word is made: a
-    sweep with no words, or with letters past z, would pass having checked
-    nothing."""
+def _check_sweep_bounds(alphabet_size: int, max_len: int) -> None:
     if not 1 <= alphabet_size <= len(_LETTERS) or max_len < 1:
         raise ValueError(
             f"alphabet_size must be 1 to {len(_LETTERS)} and max_len at least 1,"
             f" got {alphabet_size} and {max_len}"
         )
+
+
+def _sweep_words(alphabet_size: int, max_len: int) -> Iterator[str]:
+    """Every word of length 1 to max_len over the first alphabet_size letters,
+    shorter words first.  The bounds are checked before any word is made: a
+    sweep with no words, or with letters past z, would pass having checked
+    nothing."""
+    _check_sweep_bounds(alphabet_size, max_len)
     letters = tuple(_LETTERS[:alphabet_size])
     return (
         word for length in range(1, max_len + 1) for word in words_of_length(letters, length)
@@ -175,9 +180,10 @@ def check_lemma3(
 ) -> LemmaReport:
     """No two distinct code members are unifiable (on variable-disjoint
     copies; all members share the code variable p)."""
-    members = enumerate_alphabetic(h, alphabet_size, max_len)
-    forms = [m.formula for m in members]
-    n = len(forms)
+    _check_sweep_bounds(alphabet_size, max_len)
+    # The budget is checked before any member is built: an n-letter word
+    # has catalan(n - 1) bracketings, so the count has a closed form.
+    n = sum(alphabet_size**k * catalan(k - 1) for k in range(1, max_len + 1))
     pairs = n * (n - 1) // 2
     instance = f"hat={h.text} alphabet={alphabet_size} max_len={max_len}"
     if pairs > max_pairs:
@@ -187,6 +193,8 @@ def check_lemma3(
             "inconclusive-budget",
             {"reason": f"{pairs} pairs exceeds budget {max_pairs}"},
         )
+    members = enumerate_alphabetic(h, alphabet_size, max_len)
+    forms = [m.formula for m in members]
     renamed = [rename_apart(f, {"p"}) for f in forms]
     for i in range(n):
         fi = forms[i]

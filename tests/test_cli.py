@@ -1,10 +1,16 @@
 """CLI tests: subcommand behaviour, exit codes, output determinism."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import tagforge
 from tagforge.cli import _emit, main
 from tagforge.engine import load_calculus
 from tagforge.reduction import build_reduction, bundle_to_json
@@ -259,6 +265,29 @@ def test_verify_sweep_bounds_exit_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_verify_lemma3_budget_checked_before_enumeration():
+    # 26 letters up to length 4 make about 2.4 M code members: building
+    # them would exhaust the child's 1 GiB and take about a minute.
+    src = str(Path(tagforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", "verify", "lemma3", "--alphabet", "26"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        preexec_fn=_limit_address_space,
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "inconclusive-budget"
+    assert report["witness"] == {"reason": "2692901989011 pairs exceeds budget 2000000"}
 
 
 def test_text_format(capsys, tagfile):

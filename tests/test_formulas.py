@@ -2,12 +2,15 @@
 unification laws."""
 
 import gc
+import time
 import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagforge import formulas
+from tagforge.engine import Calculus
 from tagforge.formulas import (
     FormulaSyntaxError,
     Imp,
@@ -22,8 +25,78 @@ from tagforge.formulas import (
     unify,
     variables,
 )
+from tagforge.reduction import GROUP_ORDER, build_reduction
+from tagforge.tags import parse_tag_system
 
 p = parse_formula
+
+
+# --- reference oracles: the kernel walks that node facts and shared-subterm
+# rendering replaced -------------------------------------------------------
+
+
+def _variables_walk(f):
+    """The DAG walk that `variables` replaced."""
+    out = []
+    seen = set()
+    visited = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is Var:
+            if g.name not in seen:
+                seen.add(g.name)
+                out.append(g.name)
+        elif id(g) not in visited:
+            visited.add(id(g))
+            stack.append(g.right)
+            stack.append(g.left)
+    return tuple(out)
+
+
+def _render_streamed(f):
+    """The iterative renderer that streams every occurrence of a subterm,
+    which shared-subterm rendering replaced."""
+    parts = []
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is str:
+            parts.append(g)
+            continue
+        while type(g) is Imp:
+            left = g.left
+            if type(left) is Imp:
+                parts.append("(")
+                todo.append(g.right)
+                todo.append(") -> ")
+                g = left
+            else:
+                parts.append(left.name)
+                parts.append(" -> ")
+                g = g.right
+        parts.append(g.name)
+    return "".join(parts)
+
+
+def _apply_substitution_memo(subst, f):
+    """The `apply_substitution` that rebuilt every subterm it reached."""
+    if not subst:
+        return f
+    memo = {}
+
+    def go(g):
+        if type(g) is Var:
+            return subst.get(g.name, g)
+        r = memo.get(id(g))
+        if r is None:
+            left = go(g.left)
+            right = go(g.right)
+            r = g if left is g.left and right is g.right else Imp(left, right)
+            memo[id(g)] = r
+        return r
+
+    return go(f)
 
 
 def test_interned_nodes_are_identical():
@@ -268,3 +341,111 @@ def test_canonical_rename_alpha_invariant(f):
 @given(_formulas, _formulas)
 def test_canonical_forms_decide_alpha_equality(a, b):
     assert alpha_equal(a, b) == (canonical_rename(a) == canonical_rename(b))
+
+
+# --- node facts and shared-subterm rendering --------------------------------
+
+# Up to 80 names, so that many formulas have more distinct variables than a
+# node stores.
+_wide_names = st.integers(0, 79).map(lambda i: f"v{i}")
+_wide_leaves = st.builds(Var, _wide_names | _names)
+
+
+def _distinct_chain(n, first=0):
+    """v{first} -> v{first+1} -> ... with n distinct variables."""
+    f = Var(f"v{first + n - 1}")
+    for i in range(first + n - 2, first - 1, -1):
+        f = Imp(Var(f"v{i}"), f)
+    return f
+
+
+@st.composite
+def _dags(draw):
+    """A formula whose nodes reuse earlier ones, so its DAG shares subterms
+    on either side; each node's tree size is kept under 4,000."""
+    width = draw(st.integers(1, 80))
+    nodes = [*draw(st.lists(_wide_leaves, min_size=1, max_size=20)), _distinct_chain(width)]
+    sizes = [1] * (len(nodes) - 1) + [2 * width - 1]
+    for _ in range(draw(st.integers(1, 60))):
+        index = st.integers(0, len(nodes) - 1)
+        i, j = draw(index), draw(index)
+        if sizes[i] + sizes[j] < 4_000:
+            nodes.append(Imp(nodes[i], nodes[j]))
+            sizes.append(sizes[i] + sizes[j] + 1)
+    return nodes[-1]
+
+
+_wide_formulas = (
+    st.recursive(_wide_leaves, lambda f: st.builds(Imp, f, f), max_leaves=120) | _dags()
+)
+_wide_substs = st.dictionaries(_wide_names | _names, _wide_formulas, max_size=4)
+
+
+@settings(max_examples=200)
+@given(_wide_formulas)
+def test_variables_match_walk(f):
+    assert variables(f) == _variables_walk(f)
+
+
+@pytest.mark.parametrize("n", [formulas._NAMES_CAP, formulas._NAMES_CAP + 1])
+def test_variables_at_the_cap(n):
+    # Both sides of the cap, alone and under a node whose other operand
+    # repeats the names.
+    f = _distinct_chain(n)
+    g = Imp(Imp(f, Var("v0")), _distinct_chain(n, first=n // 2))
+    for h in (f, g):
+        assert variables(h) == _variables_walk(h)
+
+
+@settings(max_examples=200)
+@given(_wide_formulas, _wide_substs)
+def test_apply_substitution_matches_memo(f, subst):
+    assert apply_substitution(subst, f) is _apply_substitution_memo(subst, f)
+
+
+@settings(max_examples=200)
+@given(_wide_formulas)
+def test_render_matches_streamed(f):
+    assert render_formula(f) == _render_streamed(f)
+
+
+@pytest.mark.parametrize("word", ["aa", "abc", "aaab"])
+def test_render_bundle_matches_streamed(word):
+    # Encoded words are small DAGs that are large as text: the members of a
+    # code share their letter codes, and a letter code repeats its hat.
+    t = parse_tag_system("d=2\na -> bc\nb -> a\nc -> aaa\n")
+    bundle = build_reduction(t, Calculus("weakening", (p("x -> y -> x"),)), word)
+    for key in GROUP_ORDER:
+        for f in bundle.groups[key]:
+            assert render_formula(f) == _render_streamed(f)
+
+
+def test_unify_occurs_check_through_bindings():
+    # x occurs in z -> y only through y's binding to x -> x.
+    assert unify(p("(x -> x) -> x"), p("y -> z -> y")) is None
+    assert unify(p("(x -> x) -> w"), p("y -> z -> y")) is not None
+
+
+# --- linear cost: the cap and the shared-only memo --------------------------
+
+
+def test_wide_chain_costs_linear_time():
+    # A per-node tuple without the cap costs n^2 here: about 34 s and 3 GB.
+    text = " -> ".join(f"v{i}" for i in range(20_000))
+    start = time.perf_counter()
+    f = parse_formula(text)
+    assert variables(f) == tuple(f"v{i}" for i in range(20_000))
+    assert render_formula(f) == text
+    assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_chain_renders_like_streamed(side):
+    # Nothing is shared, so nothing is memoised: memoising every bracketed
+    # operand of the left chain would hold about 140 GB of text.
+    f = Var("a")
+    for _ in range(200_000):
+        f = Imp(f, Var("a")) if side == "left" else Imp(Var("a"), f)
+    start = time.perf_counter()
+    assert render_formula(f) == _render_streamed(f)
+    assert time.perf_counter() - start < 20

@@ -1,6 +1,8 @@
 """Verification suite tests: chain builders, closure characterization,
 and halting equivalence."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,6 +162,17 @@ def test_lemma7_whole_word_consumed():
     t1_size = 4  # 2 letters x 2 tails x 1 bracketing each
     assert isinstance(step, AxiomStep) and t1_size <= step.axiom < 2 * t1_size
     assert chain_check(build_PT(t, H), chain)
+
+
+def test_lemma7_long_word_checks_in_linear_time():
+    # Each link's claimed formula is its own interned result; matching it
+    # by walking it would make the check quadratic in the word length.
+    t = parse_tag_system("d=2\na -> aa\n")
+    chain = build_run_chain(t, H, "a" * 1100, 1)
+    start = time.perf_counter()
+    assert chain_check(build_PT(t, H), chain)
+    assert time.perf_counter() - start < 10
+    assert len(chain.links) == 4391
 
 
 def test_lemma7_requires_applicability():
