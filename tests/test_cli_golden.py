@@ -81,6 +81,10 @@ CASES = [
      "472ee52f8ec243e67ba94c14ebb7c97af3394b24d2c35dba0f60d4df370d5e91"),
     ("verify-lemma12", ["verify", "lemma12", "--hat", "x -> x"], 0,
      "5c4ff26b62c5221189aa55c069647761c66d766b5b82f80b8b496556b6ab06d7"),
+    # Recorded later than the cases above, before lemma12 moved onto the
+    # closure engine.
+    ("verify-all", ["verify", "all", "--alphabet", "2", "--max-len", "3"], 0,
+     "7a893afd6b717b0642508c162f628b4f9e2638a7911cf472b110aac2aca6c94e"),
 ]
 
 # sha256 of the trace file each `derive --trace-out` case writes.
@@ -142,7 +146,7 @@ def test_trace_file_matches_golden(corpus_results, case_id, digest):
 
 # Cases whose output passes through set or dict iteration over formulas,
 # whose hashes are object ids.
-HASH_SEED_CASES = ("reduce", "derive-ks", "verify-lemma9", "verify-lemma11")
+HASH_SEED_CASES = ("reduce", "derive-ks", "verify-lemma9", "verify-lemma11", "verify-all")
 
 
 @pytest.mark.parametrize("seed", ["1", "2"])
