@@ -34,7 +34,6 @@ from .engine import (
     closure_level,
     closure_levels,
     condensed_detach,
-    derive_weakening,
     derives,
     naive_closure_oracle,
 )
@@ -57,6 +56,7 @@ from .formulas import (
 from .lemmas import (
     LemmaReport,
     WEAKENING_AXIOM,
+    WEAKENING_CALCULUS,
     build_chain_lemma6,
     build_run_chain,
     check_halting_equivalence,

@@ -22,7 +22,7 @@ from .engine import (
     trace_to_json,
 )
 from .formulas import parse_formula, render_formula
-from .lemmas import LemmaReport, _default_p0, run_lemma
+from .lemmas import WEAKENING_CALCULUS, LemmaReport, run_lemma
 from .reduction import build_reduction, bundle_to_json
 from .tags import Halted, parse_tag_system, tag_reaches, tag_run
 
@@ -175,7 +175,7 @@ def _cmd_tag_reach(args) -> int:
 
 def _cmd_reduce(args) -> int:
     system = _load_system(args.system)
-    p0 = load_calculus(args.p0) if args.p0 else _default_p0()
+    p0 = load_calculus(args.p0) if args.p0 else WEAKENING_CALCULUS
     bundle = build_reduction(system, p0, args.input)
     _emit(bundle_to_json(bundle), args.format)
     return 0
@@ -197,8 +197,7 @@ def _cmd_derive(args) -> int:
         }
         if args.trace_out:
             with open(args.trace_out, "w", encoding="utf-8") as fh:
-                json.dump(trace_json, fh, indent=2)
-                fh.write("\n")
+                _emit(trace_json, "json", fh)
     else:
         obj = {
             "verdict": "not-found-within-budget",
@@ -235,8 +234,7 @@ def _dump_artifacts(report: LemmaReport, directory: str, index: int) -> list[str
     for k, (name, trace) in enumerate(report.artifacts):
         path = os.path.join(directory, f"{report.lemma}-{index}-{k}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"name": name, "trace": trace_to_json(trace)}, fh, indent=2)
-            fh.write("\n")
+            _emit({"name": name, "trace": trace_to_json(trace)}, "json", fh)
         written.append(path)
     return written
 

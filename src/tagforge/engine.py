@@ -62,7 +62,6 @@ __all__ = [
     "closure_level",
     "closure_levels",
     "condensed_detach",
-    "derive_weakening",
     "derives",
     "find_generators",
     "load_calculus",
@@ -416,38 +415,6 @@ def check_trace(calc: Calculus, trace: DerivationTrace, claimed: Formula) -> boo
         else:
             return False
     return match_instance(claimed, steps[-1].result) is not None
-
-
-def derive_weakening(
-    calc: Calculus,
-    derivable: Formula,
-    trace: DerivationTrace,
-    antecedent: Formula,
-) -> DerivationTrace:
-    """Extend a derivation of `derivable` to one of antecedent -> derivable.
-
-    Requires an axiom with derivable -> (antecedent -> derivable) as an
-    instance (the weakening shape x -> (y -> x) always qualifies).  The trace
-    is the given one plus the axiom instance plus one detachment.
-    """
-    if not check_trace(calc, trace, derivable):
-        raise ValueError("supplied trace does not establish the formula")
-    target = Imp(derivable, Imp(antecedent, derivable))
-    for idx, ax in enumerate(calc.axioms):
-        sub = match_instance(target, ax)
-        if sub is not None:
-            break
-    else:
-        raise ValueError("no axiom has the required weakening instance")
-    steps = list(trace.steps)
-    minor_idx = len(steps) - 1
-    steps.append(AxiomStep(idx, sub, target))
-    major_idx = len(steps) - 1
-    pair = _detach_raw(target, steps[minor_idx].result)
-    assert pair is not None  # the trace establishes an ancestor of `derivable`
-    result, u = pair
-    steps.append(DetachStep(major_idx, minor_idx, u, result))
-    return DerivationTrace(tuple(steps))
 
 
 @dataclass(frozen=True)

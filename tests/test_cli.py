@@ -234,6 +234,17 @@ def test_verify_lemma11_cap_overflow_exits_0(
     assert obj["witness"]["reason"].startswith("generator cap exceeded at level 0:")
 
 
+def test_verify_lemma9_cap_overflow_exits_0(capsys, monkeypatch):
+    monkeypatch.setenv("TAGFORGE_GENERATOR_CAP", "5")
+    code, obj = run_json(capsys, ["verify", "lemma9"])
+    assert code == 0
+    assert obj["verdict"] == "inconclusive-budget"
+    # 28 production axioms and the 2 code members of the input "aaa"
+    assert obj["witness"] == {
+        "reason": "generator cap exceeded at level 0: 30 generators, cap 5"
+    }
+
+
 def test_usage_error_exit_2(capsys):
     assert main([]) == 2
     assert main(["tag"]) == 2

@@ -22,7 +22,6 @@ from tagforge.engine import (
     check_trace,
     closure_level,
     condensed_detach,
-    derive_weakening,
     derives,
     find_generators,
     naive_closure_oracle,
@@ -153,29 +152,6 @@ def test_check_trace_round_trip_and_mutations():
         )
     )
     assert not check_trace(two, broken, p("b -> b"))
-
-
-def test_derive_weakening_cases():
-    # weaken a concatenation code (an axiom instance) under the left side of
-    # the first rotation scheme
-    from tagforge.codec import dot
-    from tagforge.reduction import rebracketing_axioms
-
-    d = dot(DEFAULT_HAT, code_letter(DEFAULT_HAT, 1), code_letter(DEFAULT_HAT, 3))
-    sub = match_instance(d, K)
-    base = DerivationTrace((AxiomStep(0, sub, d),))
-    antecedent = rebracketing_axioms(DEFAULT_HAT)[0].left
-    tr = derive_weakening(K_CALC, d, base, antecedent)
-    assert len(tr.steps) == 3
-    assert tr.final == Imp(antecedent, d)
-    assert check_trace(K_CALC, tr, Imp(antecedent, d))
-    # degenerate: antecedent equals the derivable formula
-    tr2 = derive_weakening(K_CALC, d, base, d)
-    assert tr2.final == Imp(d, d)
-    assert check_trace(K_CALC, tr2, Imp(d, d))
-    # empty calculus has no weakening instance to use
-    with pytest.raises(ValueError):
-        derive_weakening(Calculus("empty", ()), d, base, antecedent)
 
 
 def test_chain_check_cases():

@@ -1,6 +1,8 @@
 """Verification suite tests: chain builders, closure characterization,
 and halting equivalence."""
 
+import dataclasses
+import random
 import time
 
 import pytest
@@ -13,13 +15,25 @@ from tagforge.engine import (
     AxiomStep,
     Calculus,
     Derivable,
+    DerivationTrace,
+    DetachStep,
     chain_check,
     check_trace,
     closure_level,
     derives,
 )
-from tagforge.formulas import match_instance, parse_formula
+from tagforge.formulas import (
+    Imp,
+    apply_substitution,
+    match_instance,
+    parse_formula,
+    rename_apart,
+    render_formula,
+    unify,
+    variables,
+)
 from tagforge.lemmas import (
+    LemmaReport,
     WEAKENING_AXIOM,
     _first_short_code_level,
     build_chain_lemma6,
@@ -37,7 +51,7 @@ from tagforge.lemmas import (
     shrinking_system,
 )
 from tagforge.reduction import build_PT, build_reduction, rebracketing_axioms, words_of_length
-from tagforge.tags import parse_tag_system, tag_run, tag_step
+from tagforge.tags import TagSystem, parse_tag_system, tag_run, tag_step
 
 p = parse_formula
 H = DEFAULT_HAT
@@ -214,7 +228,7 @@ def test_lemma9_level_zero_trivial():
     assert report.verdict == "pass"
 
 
-def test_lemma9_detects_poisoned_axioms():
+def test_lemma9_detects_poisoned_axioms(monkeypatch):
     # a bundle with a bogus axiom produces an unclassifiable generator
     t = collatz_system()
     pt = build_PT(t, H)
@@ -229,6 +243,14 @@ def test_lemma9_detects_poisoned_axioms():
         and not t_alpha_member(t, "aaa", g.formula, H, 0)
     ]
     assert bad  # the injected axiom is neither production-side nor a code
+    # With no generator a code of a reachable word, the input code itself is
+    # left unclassified.
+    monkeypatch.setattr(lemmas, "t_alpha_member", lambda *args: False)
+    report = check_production(t, K_CALC, H, "aaa", 0)
+    assert report.verdict == "fail"
+    assert report.witness["unclassified"] == [
+        render_formula(f) for f in code_word(H, "aaa").formulas
+    ]
 
 
 def test_first_short_code_level_values():
@@ -348,10 +370,96 @@ def test_lemma12_collatz():
     assert report.witness["axioms"] == 28
 
 
-def test_lemma12_detects_corruption():
+def test_lemma12_detects_corruption(monkeypatch):
     # x -> x is not derivable from weakening, so a corrupted axiom must fail
     sub = match_instance(p("x -> x"), WEAKENING_AXIOM)
     assert sub is None
+    t = collatz_system()
+    clean = check_inclusion(t, H)
+
+    def corrupted(t, h):
+        pt = build_PT(t, h)
+        return dataclasses.replace(pt, axioms=pt.axioms + (p("x -> x"),))
+
+    monkeypatch.setattr(lemmas, "build_PT", corrupted)
+    report = check_inclusion(t, H)
+    assert report.verdict == "fail"
+    assert report.witness == {"axiom": "x -> x"}
+    assert report.instance == clean.instance
+
+
+def _weaken_reference(calc, derivable, trace, antecedent):
+    """Extends a derivation of `derivable` to one of antecedent -> derivable:
+    the given steps, the weakening axiom instance, and one detachment."""
+    target = Imp(derivable, Imp(antecedent, derivable))
+    for idx, ax in enumerate(calc.axioms):
+        sub = match_instance(target, ax)
+        if sub is not None:
+            break
+    else:
+        raise ValueError("no axiom has the required weakening instance")
+    steps = list(trace.steps)
+    minor_idx = len(steps) - 1
+    steps.append(AxiomStep(idx, sub, target))
+    minor = rename_apart(steps[minor_idx].result, set(variables(target)))
+    u = unify(target.left, minor)
+    steps.append(DetachStep(minor_idx + 1, minor_idx, u, apply_substitution(u, target.right)))
+    return DerivationTrace(tuple(steps))
+
+
+def _check_inclusion_reference(t, h):
+    """check_inclusion before it asked the closure engine: each axiom is a
+    weakening instance, or its consequent is one and a hand-built weakening
+    derivation lifts it under the antecedent."""
+    pt = build_PT(t, h)
+    for ax in pt.axioms:
+        sub = match_instance(ax, WEAKENING_AXIOM)
+        if sub is not None:
+            trace = DerivationTrace((AxiomStep(0, sub, ax),))
+        else:
+            if type(ax) is not Imp:
+                return LemmaReport("lemma12", "", "fail", {"axiom": render_formula(ax)})
+            consequent = ax.right
+            sub2 = match_instance(consequent, WEAKENING_AXIOM)
+            if sub2 is None:
+                return LemmaReport(
+                    "lemma12",
+                    "",
+                    "fail",
+                    {"axiom": render_formula(ax), "reason": "consequent not a weakening instance"},
+                )
+            base = DerivationTrace((AxiomStep(0, sub2, consequent),))
+            trace = _weaken_reference(K_CALC, consequent, base, ax.left)
+        if not check_trace(K_CALC, trace, ax):
+            return LemmaReport(
+                "lemma12", "", "fail", {"axiom": render_formula(ax), "reason": "trace rejected"}
+            )
+    instance = f"tag={lemmas.system_label(t)} hat={h.text}"
+    return LemmaReport("lemma12", instance, "pass", {"axioms": len(pt.axioms)})
+
+
+def _random_system(rng: random.Random) -> TagSystem:
+    letters = "abc"[: rng.randint(1, 3)]
+    productions = {
+        a: "".join(rng.choice(letters) for _ in range(rng.randint(1, 3))) for a in letters
+    }
+    return TagSystem(tuple(letters), productions, rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("hat", ["x", "x -> x", "x -> (x -> x)"])
+def test_lemma12_matches_weakening_reference(hat):
+    h = HatTemplate.from_text(hat)
+    rng = random.Random(12)
+    systems = [collatz_system(), shrinking_system(), growing_system()]
+    systems += [_random_system(rng) for _ in range(40)]
+    for t in systems:
+        new = check_inclusion(t, h)
+        old = _check_inclusion_reference(t, h)
+        assert (new.verdict, new.instance, new.witness) == (
+            old.verdict,
+            old.instance,
+            old.witness,
+        )
 
 
 def test_run_lemma_dispatch():
