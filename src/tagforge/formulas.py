@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 import weakref
+from typing import Callable
 
 __all__ = [
     "Formula",
@@ -82,14 +83,15 @@ class Var:
     __setattr__ = __delattr__ = _immutable
 
     def __new__(cls, name: str) -> "Var":
-        node = _VARS.get(name)
+        ref = _VARS.get(name)
+        node = None if ref is None else ref()
         if node is None:
             if not _IDENT.fullmatch(name):
                 raise ValueError(f"invalid variable name: {name!r}")
             node = object.__new__(cls)
             object.__setattr__(node, "name", name)
             object.__setattr__(node, "_names", (name,))
-            _VARS[name] = node
+            _VARS[name] = weakref.KeyedRef(node, _forget_var, name)
         return node
 
     def __repr__(self) -> str:
@@ -104,24 +106,40 @@ class Imp:
 
     def __new__(cls, left: "Formula", right: "Formula") -> "Imp":
         key = (left, right)
-        node = _IMPS.get(key)
+        ref = _IMPS.get(key)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             object.__setattr__(node, "left", left)
             object.__setattr__(node, "right", right)
             object.__setattr__(node, "_names", _merge_names(left._names, right._names))
-            _IMPS[key] = node
+            _IMPS[key] = weakref.KeyedRef(node, _forget_imp, key)
         return node
 
     def __repr__(self) -> str:
         return f"Imp({self.left!r}, {self.right!r})"
 
 
+def _intern_table() -> tuple[dict, Callable[[weakref.KeyedRef], None]]:
+    """A plain dict from key to a weak reference to its node, and the
+    callback that deletes a reference's entry when its node dies."""
+    table: dict = {}
+
+    def forget(ref: weakref.KeyedRef) -> None:
+        # The entry may already hold a node rebuilt under the same key.
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+    return table, forget
+
+
 # Intern tables.  An Imp key holds interned children, so one lookup decides
 # structural equality.  Values are weak: a closure run builds and drops
 # millions of intermediate formulas, and a strong table would keep them alive.
-_VARS: weakref.WeakValueDictionary[str, Var] = weakref.WeakValueDictionary()
-_IMPS: weakref.WeakValueDictionary[tuple, Imp] = weakref.WeakValueDictionary()
+# They are plain dicts, not WeakValueDictionary, so a lookup costs no Python
+# call.
+_VARS, _forget_var = _intern_table()
+_IMPS, _forget_imp = _intern_table()
 
 Formula = Var | Imp
 
@@ -389,31 +407,27 @@ def match_instance(candidate: Formula, pattern: Formula) -> Substitution | None:
     bindings are omitted."""
     if candidate is pattern:
         return {}
-    binds: dict[str, Formula] = {}
+    # The subterm of candidate that each pattern node met: for a variable its
+    # binding.  s(node) is one formula, so a node met again must meet the
+    # same one, and each node is walked once.
+    image: dict[Formula, Formula] = {}
     stack = [(pattern, candidate)]
-    seen: set[tuple[int, int]] = set()
     while stack:
         p, c = stack.pop()
-        if type(p) is Var:
-            prev = binds.get(p.name)
-            if prev is None:
-                binds[p.name] = c
-            elif prev is not c:
+        prev = image.get(p)
+        if prev is not None:
+            if prev is not c:
                 return None
-        else:
+            continue
+        if type(p) is Imp:
             if type(c) is not Imp:
                 return None
-            key = (id(p), id(c))
-            if key in seen:
-                continue
-            seen.add(key)
             stack.append((p.right, c.right))
             stack.append((p.left, c.left))
-    return {
-        k: v
-        for k, v in sorted(binds.items())
-        if not (type(v) is Var and v.name == k)
-    }
+        image[p] = c
+    return dict(
+        sorted((p.name, c) for p, c in image.items() if type(p) is Var and c is not p)
+    )
 
 
 def alpha_equal(a: Formula, b: Formula) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagforge import engine
 from tagforge.codec import DEFAULT_HAT, code_letter, code_word
 from tagforge.engine import (
     AxiomStep,
@@ -232,6 +233,44 @@ def test_detach_result_is_detachable_instance(major, minor):
     assert alpha_equal(apply_substitution(u, major.right), got)
 
 
+class _SkeletonIndex:
+    """The index whose keys kept only the implication skeleton: "*" for a
+    variable or for any subterm at the depth bound."""
+
+    def __init__(self):
+        self._root = [None, None]
+
+    def add(self, f):
+        node = self._root
+        todo = [(f, 0)]
+        while todo:
+            t, depth = todo.pop()
+            if type(t) is Imp and depth < 4:
+                slot = 1
+                todo.append((t.right, depth + 1))
+                todo.append((t.left, depth + 1))
+            else:
+                slot = 0
+            if node[slot] is None:
+                node[slot] = [None, None] if todo else []
+            node = node[slot]
+        node.append(f)
+
+    def candidates(self, f):
+        out = []
+        todo = [(self._root, f, 0, None)]
+        while todo:
+            (star, imp), t, depth, rest = todo.pop()
+            if star is not None:
+                if rest is None:
+                    out.extend(star)
+                else:
+                    todo.append((star, *rest))
+            if imp is not None and type(t) is Imp and depth < 4:
+                todo.append((imp, t.left, depth + 1, (t.right, depth + 1, rest)))
+        return out
+
+
 # Terms up to 24 leaves reach well below the index's depth bound of 4.
 _deep = st.recursive(_vars, lambda f: st.builds(Imp, f, f), max_leaves=24)
 
@@ -245,31 +284,63 @@ _deep = st.recursive(_vars, lambda f: st.builds(Imp, f, f), max_leaves=24)
 )
 def test_index_candidates_cover_generalisations(gens, other, subst, pick):
     index = _GeneralisationIndex()
+    skeleton = _SkeletonIndex()
     for g in gens:
         index.add(g)
+        skeleton.add(g)
     instance = apply_substitution(subst, gens[pick % len(gens)])
     for f in (other, instance):
         wanted = {g for g in gens if match_instance(f, g) is not None}
-        assert wanted <= set(index.candidates(f))
+        got = index.candidates(f)
+        assert wanted <= set(got) <= set(skeleton.candidates(f))
         assert index.subsumes(f) == bool(wanted)
     assert index.subsumes(instance)
 
 
-def test_index_prunes_by_skeleton():
-    def wrap(f):
-        # four implications above f put f at the index's depth bound
-        for _ in range(4):
-            f = Imp(f, Var("u"))
-        return f
+def _wrap(f):
+    # four implications above f put f at the index's depth bound
+    for _ in range(4):
+        f = Imp(f, Var("u"))
+    return f
 
-    deep = wrap(p("(x -> y) -> z"))
+
+def test_index_prunes_by_skeleton():
+    deep = _wrap(p("(x -> y) -> z"))
     index = _GeneralisationIndex()
     for f in (p("x"), p("x -> x"), p("(x -> y) -> x"), deep):
         index.add(f)
     assert index.candidates(p("y")) == [p("x")]
-    assert set(index.candidates(p("y -> z"))) == {p("x"), p("x -> x")}
+    assert set(index.candidates(p("y -> z"))) == {p("x")}
     # the key of `deep` has a wildcard where the query differs, so it is a
     # candidate, and matching rejects it
-    shallow = wrap(p("w -> z"))
+    shallow = _wrap(p("w -> z"))
     assert deep in index.candidates(shallow)
     assert match_instance(shallow, deep) is None
+
+
+def test_index_keys_keep_variable_identity():
+    index = _GeneralisationIndex()
+    index.add(p("x -> y -> x"))
+    # The second x meets c, not the a its first occurrence bound.
+    assert index.candidates(p("a -> b -> c")) == []
+    assert index.candidates(p("(a -> a) -> b -> a -> a")) == [p("x -> y -> x")]
+    # "*" stands for an implication at the depth bound, never a variable.
+    deep = _wrap(p("x -> y"))
+    index.add(deep)
+    assert deep not in index.candidates(_wrap(p("v")))
+    assert deep in index.candidates(_wrap(p("v -> v")))
+
+
+def test_closure_prunes_subsumption_checks(monkeypatch):
+    # Skeleton-only keys made 75,025 checks here.
+    real = engine.match_instance
+    calls = 0
+
+    def counting(candidate, pattern):
+        nonlocal calls
+        calls += 1
+        return real(candidate, pattern)
+
+    monkeypatch.setattr(engine, "match_instance", counting)
+    assert len(closure_level(Calculus("ks", (K, S)), 4).generators) == 852
+    assert calls <= 10_000

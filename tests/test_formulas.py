@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagforge import formulas
+from tagforge.codec import DEFAULT_HAT, right_nested
 from tagforge.engine import Calculus
 from tagforge.formulas import (
     FormulaSyntaxError,
@@ -99,6 +100,38 @@ def _apply_substitution_memo(subst, f):
     return go(f)
 
 
+def _match_instance_pairs(candidate, pattern):
+    """The `match_instance` that kept bindings by name and a set of visited
+    (pattern, candidate) id pairs."""
+    if candidate is pattern:
+        return {}
+    binds = {}
+    stack = [(pattern, candidate)]
+    seen = set()
+    while stack:
+        p, c = stack.pop()
+        if type(p) is Var:
+            prev = binds.get(p.name)
+            if prev is None:
+                binds[p.name] = c
+            elif prev is not c:
+                return None
+        else:
+            if type(c) is not Imp:
+                return None
+            key = (id(p), id(c))
+            if key in seen:
+                continue
+            seen.add(key)
+            stack.append((p.right, c.right))
+            stack.append((p.left, c.left))
+    return {
+        k: v
+        for k, v in sorted(binds.items())
+        if not (type(v) is Var and v.name == k)
+    }
+
+
 def test_interned_nodes_are_identical():
     a, b = Var("a"), Var("b")
     assert Var("a") is a
@@ -126,9 +159,16 @@ def test_nodes_are_immutable():
 
 
 def test_unheld_node_leaves_intern_table():
+    gc.collect()
+    sizes = len(formulas._VARS), len(formulas._IMPS)
     ref = weakref.ref(p("unheld_left -> unheld_right"))
+    chain = _distinct_chain(200, first=1_000)
+    assert len(formulas._IMPS) == sizes[1] + 199
+    del chain
     gc.collect()
     assert ref() is None
+    # Each dead node's entry is gone, not left behind as a dead reference.
+    assert (len(formulas._VARS), len(formulas._IMPS)) == sizes
     # Rebuilding gives a fresh object that is interned again.
     f = p("unheld_left -> unheld_right")
     assert p("unheld_left -> unheld_right") is f
@@ -449,3 +489,31 @@ def test_deep_chain_renders_like_streamed(side):
     start = time.perf_counter()
     assert render_formula(f) == _render_streamed(f)
     assert time.perf_counter() - start < 20
+
+
+# --- match_instance: one image per pattern node --------------------------
+
+
+@settings(max_examples=300)
+@given(_wide_formulas, _wide_substs, _wide_formulas, st.booleans())
+def test_match_instance_matches_pairs(pattern, subst, other, instance):
+    # Half the candidates are instances; the rest mostly are not.
+    candidate = apply_substitution(subst, pattern) if instance else other
+    got = match_instance(candidate, pattern)
+    want = _match_instance_pairs(candidate, pattern)
+    assert got == want
+    if got is not None:
+        assert list(got) == list(want)
+
+
+def test_match_right_nested_code_against_renamed_copy():
+    # A 200-letter code is a DAG of a few thousand nodes and a tree too large
+    # to walk; matching must visit each pattern node once.
+    code = right_nested(DEFAULT_HAT, "abc" * 67).formula
+    renamed = rename_apart(code, set(variables(code)))
+    assert renamed is not code
+    start = time.perf_counter()
+    assert match_instance(renamed, code) == {"p": Var("p_2")}
+    assert match_instance(code, renamed) == {"p_2": Var("p")}
+    assert match_instance(Imp(code, renamed), Imp(code, code)) is None
+    assert time.perf_counter() - start < 2
