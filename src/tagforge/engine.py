@@ -224,16 +224,16 @@ class _GeneralisationIndex:
     that number the identical subterm (nodes are interned, so that is one
     `is`).  So `candidates` returns a superset of the stored formulas that f
     is an instance of, and `match_instance` still decides each one.  Over
-    the closures of the benchmark's five textbook calculi the candidates
-    fell from 179,351 to 20,543 when keys began to keep variable identity;
-    2,251 of them are generalisations either way.
+    the closures of the benchmark's five textbook calculi `subsumes` made
+    179,351 `match_instance` calls with keys of the implication skeleton
+    alone, and makes 20,543 with these; 2,251 of them succeed either way.
     """
 
     def __init__(self) -> None:
         # An inner trie node is a dict from key symbol to child; the child a
         # whole key ends in is the list of formulas stored under that key.
-        # A list of positional slots per node took half the extra memory but
-        # made `candidates` slower.
+        # Positional slots or a flat [symbol, child, ...] list per node took
+        # half the memory of dicts but made `candidates` 40-60% slower.
         self._root: dict = {}
 
     def add(self, f: Formula) -> None:
@@ -306,9 +306,9 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     kept in a `_GeneralisationIndex`.  Its candidates are a superset of the
     generators a formula is an instance of, and `match_instance` decides
     each one, so a formula is dropped exactly when a scan of all retained
-    generators would drop it.  On K+S to level 4 the index passes 5,647
-    candidates to `match_instance`, 357 of which are generalisations; keys
-    without variable identity passed 75,025.  Keys stop at depth
+    generators would drop it.  On K+S to level 4 that costs 5,647
+    `match_instance` calls, 357 of which find a generalisation; keys
+    without variable identity cost 75,025.  Keys stop at depth
     `_INDEX_DEPTH`: encoded formulas are exponentially larger as trees than
     as graphs, and a bounded key costs at most 31 steps to build for any
     formula.  Deeper keys prune more candidates but cost more memory per

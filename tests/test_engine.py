@@ -291,8 +291,7 @@ def test_index_candidates_cover_generalisations(gens, other, subst, pick):
     instance = apply_substitution(subst, gens[pick % len(gens)])
     for f in (other, instance):
         wanted = {g for g in gens if match_instance(f, g) is not None}
-        got = index.candidates(f)
-        assert wanted <= set(got) <= set(skeleton.candidates(f))
+        assert wanted <= set(index.candidates(f)) <= set(skeleton.candidates(f))
         assert index.subsumes(f) == bool(wanted)
     assert index.subsumes(instance)
 
