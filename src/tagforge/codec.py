@@ -89,15 +89,15 @@ class HatTemplate:
 DEFAULT_HAT = HatTemplate(Var("x"))
 
 
-def default_hat_candidates(count: int = 8) -> tuple[HatTemplate, ...]:
-    """The escalation sequence x, x -> x, x -> (x -> x), ...
+def default_hat_candidates() -> tuple[HatTemplate, ...]:
+    """The escalation sequence x, x -> x, x -> (x -> x), ..., eight templates.
 
     The bare variable comes first because it minimizes formula size; later
     entries only matter when the target calculus collides with the encoding.
     """
     out = []
     body: Formula = Var("x")
-    for _ in range(count):
+    for _ in range(8):
         out.append(HatTemplate(body))
         body = Imp(Var("x"), body)
     return tuple(out)

@@ -324,17 +324,21 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     gens: list[Generator] = []
     seen: set[Formula] = set()
     index = _GeneralisationIndex() if subsumption else None
-    for idx, ax in enumerate(calc.axioms):
-        canon = canonical_rename(ax)
+
+    def keep(canon: Formula) -> bool:
+        """Record a canonical formula; True when it is a new generator."""
         if canon in seen:
-            continue
+            return False
         seen.add(canon)
         if index is not None:
-            if index.subsumes(ax):
-                continue
-            index.add(ax)
-        trace = DerivationTrace((AxiomStep(idx, {}, ax),))
-        gens.append(Generator(ax, trace, 0))
+            if index.subsumes(canon):
+                return False
+            index.add(canon)
+        return True
+
+    for idx, ax in enumerate(calc.axioms):
+        if keep(canonical_rename(ax)):
+            gens.append(Generator(ax, DerivationTrace((AxiomStep(idx, {}, ax),)), 0))
     if len(gens) > cap:
         raise GeneratorCapError(0, len(gens), cap)
     yield ClosureLevel(0, tuple(gens))
@@ -342,12 +346,11 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     level = 0
     while True:
         level += 1
+        # Generators kept at this level are appended to `gens` at once; the
+        # pairs read only indices below `size`, so they wait for the next.
         size = len(gens)
-        added: list[Generator] = []
         for mi in range(size):
-            for ni in range(size):
-                if mi < frontier and ni < frontier:
-                    continue
+            for ni in range(frontier if mi < frontier else 0, size):
                 # Detach the trace finals (alpha-equal to the generator
                 # formulas) so the recorded unifier re-validates against the
                 # spliced steps.
@@ -356,18 +359,11 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
                     continue
                 raw, unifier = pair
                 canon = canonical_rename(raw)
-                if canon in seen:
-                    continue
-                seen.add(canon)
-                if index is not None:
-                    if index.subsumes(canon):
-                        continue
-                    index.add(canon)
-                trace = _splice(gens[mi].trace, gens[ni].trace, unifier, raw)
-                added.append(Generator(canon, trace, level))
-                if size + len(added) > cap:
-                    raise GeneratorCapError(level, size + len(added), cap)
-        gens.extend(added)
+                if keep(canon):
+                    trace = _splice(gens[mi].trace, gens[ni].trace, unifier, raw)
+                    gens.append(Generator(canon, trace, level))
+                    if len(gens) > cap:
+                        raise GeneratorCapError(level, len(gens), cap)
         frontier = size
         yield ClosureLevel(level, tuple(gens))
 
@@ -544,35 +540,32 @@ def _subst_to_json(subst: Mapping[str, Formula]) -> dict:
     return {name: render_formula(f) for name, f in sorted(subst.items())}
 
 
-def _subst_from_json(obj, key: str, where: str) -> Substitution:
-    texts = _field(obj, key, dict, where)
-    if any(type(t) is not str for t in texts.values()):
-        raise ValueError(f"{where}: field {key!r} must map names to formula strings")
-    return {name: parse_formula(text) for name, text in texts.items()}
+# The trace format: for each step kind, its class, then its fields in JSON
+# order (also the class's field order), each with its JSON type.  An integer
+# is a step or axiom number, an object a substitution, a string a formula.
+_STEP_KINDS: dict[str, tuple[type, tuple[tuple[str, type], ...]]] = {
+    "axiom": (AxiomStep, (("axiom", int), ("substitution", dict), ("result", str))),
+    "detach": (
+        DetachStep,
+        (("major", int), ("minor", int), ("unifier", dict), ("result", str)),
+    ),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _STEP_KINDS.items()}
 
 
 def trace_to_json(trace: DerivationTrace) -> dict:
     steps = []
     for st in trace.steps:
-        if isinstance(st, AxiomStep):
-            steps.append(
-                {
-                    "kind": "axiom",
-                    "axiom": st.axiom,
-                    "substitution": _subst_to_json(st.substitution),
-                    "result": render_formula(st.result),
-                }
-            )
-        else:
-            steps.append(
-                {
-                    "kind": "detach",
-                    "major": st.major,
-                    "minor": st.minor,
-                    "unifier": _subst_to_json(st.unifier),
-                    "result": render_formula(st.result),
-                }
-            )
+        kind = _KIND_OF[type(st)]
+        step = {"kind": kind}
+        for key, json_type in _STEP_KINDS[kind][1]:
+            value = getattr(st, key)
+            if json_type is dict:
+                value = _subst_to_json(value)
+            elif json_type is str:
+                value = render_formula(value)
+            step[key] = value
+        steps.append(step)
     return {"steps": steps}
 
 
@@ -583,25 +576,22 @@ def trace_from_json(obj: dict) -> DerivationTrace:
     for i, raw in enumerate(_field(obj, "steps", list, "trace")):
         where = f"trace step {i}"
         kind = _field(raw, "kind", str, where)
-        if kind == "axiom":
-            steps.append(
-                AxiomStep(
-                    _field(raw, "axiom", int, where),
-                    _subst_from_json(raw, "substitution", where),
-                    parse_formula(_field(raw, "result", str, where)),
-                )
-            )
-        elif kind == "detach":
-            steps.append(
-                DetachStep(
-                    _field(raw, "major", int, where),
-                    _field(raw, "minor", int, where),
-                    _subst_from_json(raw, "unifier", where),
-                    parse_formula(_field(raw, "result", str, where)),
-                )
-            )
-        else:
+        if kind not in _STEP_KINDS:
             raise ValueError(f"{where}: unknown trace step kind: {kind!r}")
+        cls, fields = _STEP_KINDS[kind]
+        values = []
+        for key, json_type in fields:
+            value = _field(raw, key, json_type, where)
+            if json_type is dict:
+                if any(type(t) is not str for t in value.values()):
+                    raise ValueError(
+                        f"{where}: field {key!r} must map names to formula strings"
+                    )
+                value = {name: parse_formula(text) for name, text in value.items()}
+            elif json_type is str:
+                value = parse_formula(value)
+            values.append(value)
+        steps.append(cls(*values))
     return DerivationTrace(tuple(steps))
 
 

@@ -173,13 +173,11 @@ def enumerate_alphabetic(
     return out
 
 
-def check_lemma3(
-    h: HatTemplate,
-    alphabet_size: int,
-    max_len: int,
-    *,
-    max_pairs: int = 2_000_000,
-) -> LemmaReport:
+# Lemma 3 checks at most this many pairs of code members.
+_LEMMA3_MAX_PAIRS = 2_000_000
+
+
+def check_lemma3(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaReport:
     """No two distinct code members are unifiable (on variable-disjoint
     copies; all members share the code variable p)."""
     _check_sweep_bounds(alphabet_size, max_len)
@@ -188,12 +186,12 @@ def check_lemma3(
     n = sum(alphabet_size**k * catalan(k - 1) for k in range(1, max_len + 1))
     pairs = n * (n - 1) // 2
     instance = f"hat={h.text} alphabet={alphabet_size} max_len={max_len}"
-    if pairs > max_pairs:
+    if pairs > _LEMMA3_MAX_PAIRS:
         return LemmaReport(
             "lemma3",
             instance,
             "inconclusive-budget",
-            {"reason": f"{pairs} pairs exceeds budget {max_pairs}"},
+            {"reason": f"{pairs} pairs exceeds budget {_LEMMA3_MAX_PAIRS}"},
         )
     members = enumerate_alphabetic(h, alphabet_size, max_len)
     forms = [m.formula for m in members]
@@ -476,7 +474,7 @@ def _classify(
     limit = guard if guard is not None else n + 1
     bad = unclassified(
         [g for g in top_full.generators if g.level < limit],
-        bundle.pt.axioms + bundle.h_axioms.axioms,
+        bundle.pt.axioms + bundle.groups["H"],
         bundle.hat,
     )
     resources["full_generators"] = len(top_full.generators)

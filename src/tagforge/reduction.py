@@ -139,9 +139,9 @@ def build_H(t: TagSystem, p0: Calculus, h: HatTemplate = DEFAULT_HAT) -> Calculu
 class ReductionBundle:
     """Everything built for one (tag system, target calculus, input) triple.
 
-    `groups` holds each axiom group once, by name.  The calculi are views of
-    it in GROUP_ORDER: `full` is the reduction calculus, `pt` the production
-    calculus and `h_axioms` the halting hooks alone.
+    `groups` holds each axiom group once, by name; `groups["H"]` is the
+    halting hooks.  The calculi are views of it in GROUP_ORDER: `full` is the
+    reduction calculus and `pt` the production calculus.
     """
 
     tag: TagSystem
@@ -157,10 +157,6 @@ class ReductionBundle:
     @cached_property
     def pt(self) -> Calculus:
         return _join("productions", self.groups, _PRODUCTION_GROUPS)
-
-    @cached_property
-    def h_axioms(self) -> Calculus:
-        return Calculus("halting-hooks", self.groups["H"])
 
 
 def build_reduction(

@@ -327,6 +327,32 @@ def test_deep_goal_is_not_a_traceback(capsys, calcfile, goal, text):
     assert obj["goal"] == text
 
 
+@pytest.fixture(
+    params=["deep-axiom", "nested-json-trace", "long-encode-word"]
+)
+def too_deep_argv(request, calcfile, tmp_path):
+    if request.param == "deep-axiom":
+        # canonical_rename calls the recursive apply_substitution
+        deep = tmp_path / "deep.json"
+        axiom = " -> ".join(["x"] * 1501 + ["y"])
+        deep.write_text(json.dumps({"label": "deep", "axioms": [axiom]}))
+        return ["derive", "--depth", "0", "--calculus", str(deep), "--goal", "x"]
+    if request.param == "nested-json-trace":
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000)
+        return ["check-trace", "--calculus", calcfile, "--trace", str(nested), "--claimed", "x"]
+    # _bracketings recurses once per letter
+    return ["encode", "--word", "a" * 1100]
+
+
+def test_too_deep_input_is_an_error_not_a_traceback(capsys, too_deep_argv):
+    assert main(too_deep_argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nested too deeply\n"
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "option,payload,field",
     [

@@ -37,6 +37,8 @@ from tagforge.formulas import (
     match_instance,
     parse_formula,
 )
+from tagforge.lemmas import collatz_system
+from tagforge.reduction import build_reduction
 
 p = parse_formula
 K = p("x -> y -> x")
@@ -196,12 +198,39 @@ def test_naive_oracle_soundness(axioms):
             assert any(match_instance(f, g.formula) is not None for g in generators)
 
 
+@pytest.mark.parametrize(
+    "axioms,kept",
+    [
+        (["x -> y -> x", "a -> b -> a", "x -> x -> x", "x -> y -> x"], [0]),
+        (["p -> p -> p", "x -> y -> x", "q -> q -> q"], [0, 1]),
+    ],
+    ids=["renamings-and-instances-dropped", "instance-kept-before-generalisation"],
+)
+def test_level0_keeps_new_axioms_under_their_own_names(axioms, kept):
+    calc = Calculus("axioms", tuple(p(a) for a in axioms))
+    gens = closure_level(calc, 0).generators
+    assert [g.formula for g in gens] == [calc.axioms[i] for i in kept]
+    assert [g.trace.steps for g in gens] == [
+        (AxiomStep(i, {}, calc.axioms[i]),) for i in kept
+    ]
+
+
 def test_trace_json_round_trip():
-    lvl = closure_level(K_CALC, 2)
-    g = lvl.generators[-1]
-    back = trace_from_json(trace_to_json(g.trace))
-    assert back == g.trace
-    assert check_trace(K_CALC, back, g.formula)
+    ks = Calculus("ks", (K, S))
+    collatz = build_reduction(collatz_system(), K_CALC, "aa").full
+    for calc, n in ((ks, 3), (collatz, 2)):
+        for g in closure_level(calc, n).generators:
+            back = trace_from_json(trace_to_json(g.trace))
+            assert back == g.trace
+            assert check_trace(calc, back, g.formula)
+
+
+def test_trace_from_json_rejects_unknown_step_kind():
+    obj = trace_to_json(closure_level(K_CALC, 1).generators[-1].trace)
+    obj["steps"][1]["kind"] = "cut"
+    with pytest.raises(ValueError) as err:
+        trace_from_json(obj)
+    assert str(err.value) == "trace step 1: unknown trace step kind: 'cut'"
 
 
 def test_calculus_json_round_trip():

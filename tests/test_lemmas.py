@@ -71,7 +71,8 @@ def test_lemma3_counts_and_verdict():
 
 
 def test_lemma3_budget_guard():
-    report = check_lemma3(H, 3, 4, max_pairs=10)
+    # 323,175 members, so about 5.2e10 pairs: refused before any is built
+    report = check_lemma3(H, 3, 7)
     assert report.verdict == "inconclusive-budget"
 
 

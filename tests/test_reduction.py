@@ -155,7 +155,7 @@ def test_group_disjointness_with_codes():
         for w in ("a", "b", "ab", "abc")
         for f in code_word(H, w).formulas
     ]
-    for ax in bundle.pt.axioms + bundle.h_axioms.axioms:
+    for ax in bundle.pt.axioms + bundle.groups["H"]:
         for member in members:
             fresh = rename_apart(member, set(variables(ax)))
             assert unify(ax, fresh) is None
