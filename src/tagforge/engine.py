@@ -34,6 +34,7 @@ from .formulas import (
     Formula,
     Imp,
     Substitution,
+    Var,
     apply_substitution,
     canonical_rename,
     match_instance,
@@ -112,7 +113,8 @@ class DetachStep:
     The minor premise is renamed apart from the major's variables (via
     `rename_apart`, which is deterministic), the unifier equates the major's
     antecedent with the renamed minor, and result is the unifier applied to
-    the major's consequent.
+    the major's consequent.  `closure_levels` builds a step only for a pair
+    whose result it keeps; `condensed_detach` decides that without renaming.
     """
 
     major: int
@@ -165,17 +167,121 @@ class NotFoundWithinBudget:
 
 
 def condensed_detach(major: Formula, minor: Formula) -> Formula | None:
-    """Most general consequent of modus ponens between the two formulas: the
-    one-step rule that `closure_levels` applies to every pair of generators.
+    """Most general consequent of modus ponens between the two formulas, in
+    canonical form: the one-step rule that `closure_levels` applies to every
+    pair of generators.
 
     None when the major is not an implication or its antecedent does not
-    unify with the (renamed-apart) minor.  The result's variables are renamed
-    canonically.
+    unify with the minor, the two formulas' variables taken as distinct.
+    Nothing is renamed apart: a term is read in a bank, 0 for the major's
+    variables and 1 for the minor's, and bindings are keyed by bank and
+    name.  The result is then built once, straight into canonical names
+    (x1, x2, ... in first-occurrence order), from the major's consequent
+    under the bindings.  A most general unifier is unique up to renaming, so
+    this is the same object as `canonical_rename` of `_detach_raw`'s result.
+    Every walk keeps an explicit stack, and shared subterms are walked once
+    per bank.
     """
-    pair = _detach_raw(major, minor)
-    if pair is None:
+    if type(major) is not Imp:
         return None
-    return canonical_rename(pair[0])
+    # bound[bank][name] = (term, bank of that term)
+    bound: tuple[dict, dict] = ({}, {})
+    seen: set[tuple[Imp, int, Imp, int]] = set()
+    stack = [(major.left, 0, minor, 1)]
+    while stack:
+        s, sb, t, tb = stack.pop()
+        while type(s) is Var:
+            nxt = bound[sb].get(s.name)
+            if nxt is None:
+                break
+            s, sb = nxt
+        while type(t) is Var:
+            nxt = bound[tb].get(t.name)
+            if nxt is None:
+                break
+            t, tb = nxt
+        if s is t and sb == tb:
+            continue
+        if type(s) is Var:
+            if type(t) is not Var and _occurs_in_bank(s.name, sb, t, tb, bound):
+                return None
+            bound[sb][s.name] = (t, tb)
+        elif type(t) is Var:
+            if _occurs_in_bank(t.name, tb, s, sb, bound):
+                return None
+            bound[tb][t.name] = (s, sb)
+        else:
+            key = (s, sb, t, tb)
+            if key in seen:
+                continue
+            seen.add(key)
+            stack.append((s.right, sb, t.right, tb))
+            stack.append((s.left, sb, t.left, tb))
+    return _canonical_in_banks(major.right, bound)
+
+
+def _occurs_in_bank(
+    name: str, bank: int, t: Formula, tb: int, bound: tuple[dict, dict]
+) -> bool:
+    """True when variable `name` of `bank` occurs in t, read in bank tb,
+    under the bindings."""
+    visited: set[tuple[Imp, int]] = set()
+    stack = [(t, tb)]
+    while stack:
+        g, b = stack.pop()
+        while type(g) is Var:
+            nxt = bound[b].get(g.name)
+            if nxt is None:
+                break
+            g, b = nxt
+        names = g._names
+        # As in `formulas._occurs`: a subterm none of whose names is bound
+        # in its own bank reads as written.
+        if names is not None and bound[b].keys().isdisjoint(names):
+            if b == bank and name in names:
+                return True
+        elif (g, b) not in visited:
+            visited.add((g, b))
+            stack.append((g.right, b))
+            stack.append((g.left, b))
+    return False
+
+
+def _canonical_in_banks(f: Formula, bound: tuple[dict, dict]) -> Formula:
+    """f, read in bank 0, under the bindings, with its variables renamed to
+    x1, x2, ... in first-occurrence order."""
+    # Per bank: each unbound variable's new name, each implication's image.
+    names: tuple[dict, dict] = ({}, {})
+    memo: tuple[dict, dict] = ({}, {})
+    count = 0
+    built: list[Formula] = []
+    # (term, bank) to read, or (implication, bank + 2) once both operands'
+    # images are on top of `built`.
+    todo: list[tuple[Formula, int]] = [(f, 0)]
+    while todo:
+        g, b = todo.pop()
+        if b > 1:
+            right = built.pop()
+            built[-1] = memo[b - 2][g] = Imp(built[-1], right)
+            continue
+        while type(g) is Var:
+            t = bound[b].get(g.name)
+            if t is None:
+                v = names[b].get(g)
+                if v is None:
+                    count += 1
+                    v = names[b][g] = Var(f"x{count}")
+                break
+            g, b = t
+        else:
+            v = memo[b].get(g)
+            if v is None:
+                todo.append((g, b + 2))
+                todo.append((g.right, b))
+                todo.append((g.left, b))
+                continue
+        built.append(v)
+    return built[0]
 
 
 def _detach_raw(major: Formula, minor: Formula) -> tuple[Formula, Substitution] | None:
@@ -302,6 +408,12 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     dropped.  Output order is deterministic: majors then minors in discovery
     order, frontier pairs only.
 
+    Each pair's result comes from `condensed_detach`, canonical by
+    construction, which is what deduplication and subsumption read.  Only a
+    pair whose result is kept goes through `_detach_raw` again, renaming the
+    minor apart, to record its `DetachStep`: on K+S to level 4 that is 850
+    of 4,900 pairs.
+
     The retained generators, earlier levels' and this level's alike, are
     kept in a `_GeneralisationIndex`.  Its candidates are a superset of the
     generators a formula is an instance of, and `match_instance` decides
@@ -354,16 +466,14 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
                 # Detach the trace finals (alpha-equal to the generator
                 # formulas) so the recorded unifier re-validates against the
                 # spliced steps.
-                pair = _detach_raw(gens[mi].trace.final, gens[ni].trace.final)
-                if pair is None:
+                major, minor = gens[mi].trace, gens[ni].trace
+                canon = condensed_detach(major.final, minor.final)
+                if canon is None or not keep(canon):
                     continue
-                raw, unifier = pair
-                canon = canonical_rename(raw)
-                if keep(canon):
-                    trace = _splice(gens[mi].trace, gens[ni].trace, unifier, raw)
-                    gens.append(Generator(canon, trace, level))
-                    if len(gens) > cap:
-                        raise GeneratorCapError(level, len(gens), cap)
+                raw, unifier = _detach_raw(major.final, minor.final)
+                gens.append(Generator(canon, _splice(major, minor, unifier, raw), level))
+                if len(gens) > cap:
+                    raise GeneratorCapError(level, len(gens), cap)
         frontier = size
         yield ClosureLevel(level, tuple(gens))
 

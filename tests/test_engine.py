@@ -34,8 +34,12 @@ from tagforge.formulas import (
     Var,
     alpha_equal,
     apply_substitution,
+    canonical_rename,
     match_instance,
     parse_formula,
+    rename_apart,
+    unify,
+    variables,
 )
 from tagforge.lemmas import collatz_system
 from tagforge.reduction import build_reduction
@@ -52,6 +56,23 @@ def test_condensed_detach_examples():
     assert alpha_equal(got, p("y -> (x2 -> (y2 -> x2))"))
     assert condensed_detach(Var("p"), K) is None
     assert alpha_equal(condensed_detach(p("x -> y"), Var("z")), Var("y"))
+
+
+# The major and the minor share variable names, so a binding read in the
+# wrong bank would show.  Each result is the one renaming the minor apart
+# gives.
+@pytest.mark.parametrize(
+    "major, minor, expected",
+    [
+        ("(x -> x) -> z", "y -> y -> y", None),  # occurs failure across banks
+        ("(x -> x) -> x", "x -> y", "x1"),
+        ("x -> x", "x -> x", "x1 -> x1"),
+        ("(x -> y) -> x -> y", "y -> y -> x", "x1 -> x1 -> x2"),
+    ],
+)
+def test_condensed_detach_shared_names(major, minor, expected):
+    got = condensed_detach(p(major), p(minor))
+    assert got is (None if expected is None else p(expected))
 
 
 def test_closure_level_examples():
@@ -260,6 +281,101 @@ def test_detach_result_is_detachable_instance(major, minor):
     assert u is not None
     assert apply_substitution(u, major.left) == apply_substitution(u, fresh)
     assert alpha_equal(apply_substitution(u, major.right), got)
+
+
+def _detach_renaming_apart(major, minor):
+    """Condensed detachment as the engine did it before `condensed_detach`
+    unified in two variable banks: rename the minor apart from the major,
+    unify, substitute, rename canonically."""
+    if type(major) is not Imp:
+        return None
+    u = unify(major.left, rename_apart(minor, set(variables(major))))
+    if u is None:
+        return None
+    return canonical_rename(apply_substitution(u, major.right))
+
+
+# One name pool for both formulas, holding names that `rename_apart` makes,
+# so a renamed minor can meet the major's own names.
+_clash_leaves = st.builds(Var, st.sampled_from(["x", "y", "z", "x_2", "x_3", "y_2"]))
+
+
+def _chain(n):
+    """v0 -> v1 -> ... with n distinct variables."""
+    f = Var(f"v{n - 1}")
+    for i in range(n - 2, -1, -1):
+        f = Imp(Var(f"v{i}"), f)
+    return f
+
+
+@st.composite
+def _clash_dags(draw):
+    """A formula whose nodes reuse earlier ones, so its DAG shares subterms;
+    the chain of up to 40 names puts some nodes over the cap on the names a
+    node stores.  Each node's tree size is kept under 4,000."""
+    width = draw(st.integers(1, 40))
+    nodes = [*draw(st.lists(_clash_leaves, min_size=1, max_size=6)), _chain(width)]
+    sizes = [1] * (len(nodes) - 1) + [2 * width - 1]
+    for _ in range(draw(st.integers(1, 30))):
+        index = st.integers(0, len(nodes) - 1)
+        i, j = draw(index), draw(index)
+        if sizes[i] + sizes[j] < 4_000:
+            nodes.append(Imp(nodes[i], nodes[j]))
+            sizes.append(sizes[i] + sizes[j] + 1)
+    return nodes[-1]
+
+
+_clash_formulas = (
+    st.recursive(_clash_leaves, lambda f: st.builds(Imp, f, f), max_leaves=12) | _clash_dags()
+)
+
+
+@settings(max_examples=300)
+@given(_clash_formulas, _clash_formulas)
+def test_condensed_detach_matches_renaming_apart(major, minor):
+    assert condensed_detach(major, minor) is _detach_renaming_apart(major, minor)
+
+
+_BCI = Calculus(
+    "bci", (p("(x -> y) -> (z -> x) -> z -> y"), p("(x -> y -> z) -> y -> x -> z"), p("x -> x"))
+)
+_LUKASIEWICZ = Calculus("luk", (p("((x -> y) -> z) -> (z -> x) -> u -> x"),))
+
+
+@pytest.mark.parametrize(
+    "calc, level, unified",
+    [
+        (Calculus("ks", (K, S)), 3, 3352),
+        (_BCI, 2, 2401),
+        (_LUKASIEWICZ, 4, 856),
+        (build_reduction(collatz_system(), K_CALC, "aaa").full, 1, 4),
+    ],
+    ids=["ks-3", "bci-2", "luk-4", "collatz-aaa-1"],
+)
+def test_condensed_detach_matches_renaming_apart_on_closures(calc, level, unified):
+    finals = [g.trace.final for g in closure_level(calc, level).generators]
+    hits = 0
+    for major in finals:
+        for minor in finals:
+            got = condensed_detach(major, minor)
+            assert got is _detach_renaming_apart(major, minor)
+            hits += got is not None
+    assert hits == unified
+
+
+def test_closure_renames_apart_only_kept_pairs(monkeypatch):
+    # Detaching every frontier pair by renaming apart made 4,900 calls here.
+    real = engine._detach_raw
+    calls = 0
+
+    def counting(major, minor):
+        nonlocal calls
+        calls += 1
+        return real(major, minor)
+
+    monkeypatch.setattr(engine, "_detach_raw", counting)
+    gens = closure_level(Calculus("ks", (K, S)), 4).generators
+    assert calls == sum(g.level > 0 for g in gens) == 850
 
 
 class _SkeletonIndex:

@@ -224,6 +224,16 @@ def test_lemma9_collatz():
     assert report.verdict == "pass"
 
 
+def test_lemma9_collatz_seven_letters():
+    # 61,605 detachments for 205 generators, and every code holds p, so a
+    # detachment that renamed each minor apart would copy it whole.
+    (report,) = run_lemma("lemma9", {"input_word": "aaaaaaa", "depth": 2})
+    assert report.verdict == "pass"
+    assert report.resources["generators"] == 202
+    assert report.resources["levels"] == 2
+    assert report.resources["full_generators"] == 205
+
+
 def test_lemma9_level_zero_trivial():
     report = check_production(collatz_system(), K_CALC, H, "a", 0)
     assert report.verdict == "pass"
