@@ -278,10 +278,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except RecursionError:
-        # Parsing and rendering are iterative, but three walks still recurse
-        # once per nesting level: the kernel's apply_substitution (and
-        # unify's _resolve) on a deep formula, json.load on a deeply nested
-        # JSON file, and the codec's _bracketings on a long word.
+        # The term kernel is iterative, but two walks still recurse once per
+        # nesting level: json.load on a deeply nested JSON file, and the
+        # codec's _bracketings on a long word.
         print("error: input nested too deeply", file=sys.stderr)
         return 1
 

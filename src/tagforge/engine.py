@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import count, islice, product
 from typing import Iterator, Mapping, Sequence
 
 from .formulas import (
@@ -35,13 +35,15 @@ from .formulas import (
     Imp,
     Substitution,
     Var,
+    _apart_names,
+    _build_banks,
+    _unify_banks,
     apply_substitution,
     canonical_rename,
     match_instance,
     parse_formula,
     rename_apart,
     render_formula,
-    unify,
     variables,
 )
 
@@ -113,8 +115,9 @@ class DetachStep:
     The minor premise is renamed apart from the major's variables (via
     `rename_apart`, which is deterministic), the unifier equates the major's
     antecedent with the renamed minor, and result is the unifier applied to
-    the major's consequent.  `closure_levels` builds a step only for a pair
-    whose result it keeps; `condensed_detach` decides that without renaming.
+    the major's consequent.  That is what `check_trace` re-derives.
+    `closure_levels` builds a step only for a pair whose result it keeps, and
+    `_detach_raw` builds it without a renamed copy.
     """
 
     major: int
@@ -173,125 +176,45 @@ def condensed_detach(major: Formula, minor: Formula) -> Formula | None:
 
     None when the major is not an implication or its antecedent does not
     unify with the minor, the two formulas' variables taken as distinct.
-    Nothing is renamed apart: a term is read in a bank, 0 for the major's
-    variables and 1 for the minor's, and bindings are keyed by bank and
-    name.  The result is then built once, straight into canonical names
-    (x1, x2, ... in first-occurrence order), from the major's consequent
-    under the bindings.  A most general unifier is unique up to renaming, so
-    this is the same object as `canonical_rename` of `_detach_raw`'s result.
-    Every walk keeps an explicit stack, and shared subterms are walked once
-    per bank.
+    Nothing is renamed apart: the kernel's unification reads the major in
+    variable bank 0 and the minor in bank 1.  The result is then built once,
+    straight into canonical names (x1, x2, ... in first-occurrence order),
+    from the major's consequent under the bindings.  A most general unifier
+    is unique up to renaming, so this is the same object as
+    `canonical_rename` of `_detach_raw`'s result.
     """
     if type(major) is not Imp:
         return None
-    # bound[bank][name] = (term, bank of that term)
-    bound: tuple[dict, dict] = ({}, {})
-    seen: set[tuple[Imp, int, Imp, int]] = set()
-    stack = [(major.left, 0, minor, 1)]
-    while stack:
-        s, sb, t, tb = stack.pop()
-        while type(s) is Var:
-            nxt = bound[sb].get(s.name)
-            if nxt is None:
-                break
-            s, sb = nxt
-        while type(t) is Var:
-            nxt = bound[tb].get(t.name)
-            if nxt is None:
-                break
-            t, tb = nxt
-        if s is t and sb == tb:
-            continue
-        if type(s) is Var:
-            if type(t) is not Var and _occurs_in_bank(s.name, sb, t, tb, bound):
-                return None
-            bound[sb][s.name] = (t, tb)
-        elif type(t) is Var:
-            if _occurs_in_bank(t.name, tb, s, sb, bound):
-                return None
-            bound[tb][t.name] = (s, sb)
-        else:
-            key = (s, sb, t, tb)
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.append((s.right, sb, t.right, tb))
-            stack.append((s.left, sb, t.left, tb))
-    return _canonical_in_banks(major.right, bound)
-
-
-def _occurs_in_bank(
-    name: str, bank: int, t: Formula, tb: int, bound: tuple[dict, dict]
-) -> bool:
-    """True when variable `name` of `bank` occurs in t, read in bank tb,
-    under the bindings."""
-    visited: set[tuple[Imp, int]] = set()
-    stack = [(t, tb)]
-    while stack:
-        g, b = stack.pop()
-        while type(g) is Var:
-            nxt = bound[b].get(g.name)
-            if nxt is None:
-                break
-            g, b = nxt
-        names = g._names
-        # As in `formulas._occurs`: a subterm none of whose names is bound
-        # in its own bank reads as written.
-        if names is not None and bound[b].keys().isdisjoint(names):
-            if b == bank and name in names:
-                return True
-        elif (g, b) not in visited:
-            visited.add((g, b))
-            stack.append((g.right, b))
-            stack.append((g.left, b))
-    return False
-
-
-def _canonical_in_banks(f: Formula, bound: tuple[dict, dict]) -> Formula:
-    """f, read in bank 0, under the bindings, with its variables renamed to
-    x1, x2, ... in first-occurrence order."""
-    # Per bank: each unbound variable's new name, each implication's image.
-    names: tuple[dict, dict] = ({}, {})
-    memo: tuple[dict, dict] = ({}, {})
-    count = 0
-    built: list[Formula] = []
-    # (term, bank) to read, or (implication, bank + 2) once both operands'
-    # images are on top of `built`.
-    todo: list[tuple[Formula, int]] = [(f, 0)]
-    while todo:
-        g, b = todo.pop()
-        if b > 1:
-            right = built.pop()
-            built[-1] = memo[b - 2][g] = Imp(built[-1], right)
-            continue
-        while type(g) is Var:
-            t = bound[b].get(g.name)
-            if t is None:
-                v = names[b].get(g)
-                if v is None:
-                    count += 1
-                    v = names[b][g] = Var(f"x{count}")
-                break
-            g, b = t
-        else:
-            v = memo[b].get(g)
-            if v is None:
-                todo.append((g, b + 2))
-                todo.append((g.right, b))
-                todo.append((g.left, b))
-                continue
-        built.append(v)
-    return built[0]
+    bound = _unify_banks(major.left, 0, minor, 1)
+    if bound is None:
+        return None
+    numbers = count(1)
+    return _build_banks([(major.right, 0)], bound, lambda v, b: Var(f"x{next(numbers)}"))[0]
 
 
 def _detach_raw(major: Formula, minor: Formula) -> tuple[Formula, Substitution] | None:
+    """The result and unifier that a `DetachStep` of major and minor records.
+
+    They are read off bank bindings, as `condensed_detach`'s result is: the
+    minor's variables are named as `rename_apart` would rename them apart
+    from the major's, and the major's as written.  So the step is what
+    `check_trace` re-derives, without a renamed copy.
+    """
     if type(major) is not Imp:
         return None
-    fresh_minor = rename_apart(minor, set(variables(major)))
-    u = unify(major.left, fresh_minor)
-    if u is None:
+    bound = _unify_banks(major.left, 0, minor, 1)
+    if bound is None:
         return None
-    return apply_substitution(u, major.right), u
+    fresh = _apart_names(variables(minor), set(variables(major)))
+
+    def name(v: Var, bank: int) -> Var:
+        return fresh.get(v.name, v) if bank else v
+
+    # Renamed minor variables avoid the major's, so no two keys meet.
+    terms = {name(Var(n), b).name: t for b in (0, 1) for n, t in bound[b].items()}
+    keys = sorted(terms)
+    raw, *values = _build_banks([(major.right, 0), *(terms[k] for k in keys)], bound, name)
+    return raw, dict(zip(keys, values))
 
 
 def _splice(
@@ -410,9 +333,9 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
 
     Each pair's result comes from `condensed_detach`, canonical by
     construction, which is what deduplication and subsumption read.  Only a
-    pair whose result is kept goes through `_detach_raw` again, renaming the
-    minor apart, to record its `DetachStep`: on K+S to level 4 that is 850
-    of 4,900 pairs.
+    pair whose result is kept goes through `_detach_raw`, which unifies it
+    again with the same loop and reads its `DetachStep` off the bindings: on
+    K+S to level 4 that is 850 of 4,900 pairs.
 
     The retained generators, earlier levels' and this level's alike, are
     kept in a `_GeneralisationIndex`.  Its candidates are a superset of the
@@ -522,8 +445,8 @@ def check_trace(calc: Calculus, trace: DerivationTrace, claimed: Formula) -> boo
     """Re-validate every step against the calculus and check that the final
     formula has `claimed` as an instance.
 
-    Uses only apply_substitution / unification bookkeeping / match_instance;
-    independent of how the trace was produced.  Any malformed reference makes
+    Uses only rename_apart, apply_substitution and match_instance, and calls
+    no unifier: independent of how the trace was produced.  Any malformed reference makes
     the trace invalid rather than raising.
     """
     steps = trace.steps

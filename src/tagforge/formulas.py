@@ -5,6 +5,13 @@ term language of the package.  Everything here is pure: substitution,
 unification (with occurs check), one-sided instance matching, and renaming
 helpers.
 
+There is one unification loop and one walk that builds a term under its
+bindings.  They read each term in one of two variable banks, so `unify`
+(both formulas in one bank) and the engine's condensed detachment (the
+minor premise in the other bank, in place of a renamed copy) share them.
+Every walk here keeps an explicit stack, so nesting depth is bounded by
+memory, not by the interpreter's recursion limit.
+
 Formula values are immutable and interned (hash-consed): constructing a
 formula returns the existing object when a structurally equal one is alive,
 so structural equality is object identity and `==` and `hash` are the
@@ -12,9 +19,9 @@ default identity ones.  The intern tables are module-global and not locked;
 the package runs on one thread.
 
 Each node also stores, when it is built, its variable names in
-first-occurrence order, so `variables` is a field read, and `unify`'s occurs
-check and `apply_substitution` skip any subterm that no binding reaches.  The
-tuple is kept only up to `_NAMES_CAP` names; a node with more stores None,
+first-occurrence order, so `variables` is a field read, and the occurs
+check and `apply_substitution` skip any subterm that no binding reaches.
+The tuple is kept only up to `_NAMES_CAP` names; a node with more stores None,
 and `variables` walks it, so building a formula stays linear in its size.
 `render_formula` renders a subformula that occurs more than once in the
 formula's DAG to text once per call, and reuses that text.
@@ -294,55 +301,155 @@ def variables(f: Formula) -> tuple[str, ...]:
 
 
 def apply_substitution(subst: Substitution, f: Formula) -> Formula:
-    """Replace every occurrence of each bound variable, simultaneously."""
+    """Replace every occurrence of each bound variable, simultaneously.
+
+    Iterative: a formula nested deeper than the recursion limit still
+    substitutes.  Each implication is rebuilt once per call, and a subterm
+    that no binding reaches is kept as it is.
+    """
     if not subst:
         return f
     keys = subst.keys()
-    memo: dict[int, Formula] = {}
-
-    def go(g: Formula) -> Formula:
-        if type(g) is Var:
-            return subst.get(g.name, g)
-        names = g._names
-        if names is not None and keys.isdisjoint(names):
-            return g
-        r = memo.get(id(g))
-        if r is None:
-            left = go(g.left)
-            right = go(g.right)
-            r = g if left is g.left and right is g.right else Imp(left, right)
-            memo[id(g)] = r
-        return r
-
-    return go(f)
-
-
-def _walk(t: Formula, subst: dict[str, Formula]) -> Formula:
-    while type(t) is Var:
-        nxt = subst.get(t.name)
-        if nxt is None:
-            break
-        t = nxt
-    return t
+    memo: dict[Imp, Formula] = {}
+    built: list[Formula] = []
+    # Terms to substitute in, and (implication, None) once both operands'
+    # images are on top of `built`.
+    todo: list[tuple[Formula, None] | Formula] = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is tuple:
+            g = g[0]
+            right = built.pop()
+            left = built[-1]
+            built[-1] = memo[g] = (
+                g if left is g.left and right is g.right else Imp(left, right)
+            )
+        elif type(g) is Var:
+            built.append(subst.get(g.name, g))
+        elif (names := g._names) is not None and keys.isdisjoint(names):
+            built.append(g)
+        elif (r := memo.get(g)) is not None:
+            built.append(r)
+        else:
+            todo += ((g, None), g.right, g.left)
+    return built[0]
 
 
-def _occurs(name: str, t: Formula, subst: dict[str, Formula]) -> bool:
-    keys = subst.keys()
-    visited: set[int] = set()
-    stack = [t]
+# Unification reads each term in one of two variable banks, 0 and 1: the
+# same name in different banks is two variables.  `unify` reads both formulas
+# in bank 0, so shared names are shared variables; condensed detachment reads
+# the minor premise in bank 1, which keeps the premises apart without a
+# renamed copy.  A binding maps a variable of one bank to a term read in a
+# bank: bound[bank][name] = (term, its bank).  Bindings are triangular, not
+# resolved as they are made, so a variable is read by following its chain.
+_Bindings = tuple[dict[str, tuple[Formula, int]], dict[str, tuple[Formula, int]]]
+
+
+def _unify_banks(s: Formula, sb: int, t: Formula, tb: int) -> _Bindings | None:
+    """Most general unifier of s, read in bank sb, and t, read in bank tb,
+    as bindings; None when there is none.  Shared subterm pairs are unified
+    once."""
+    bound: _Bindings = ({}, {})
+    seen: set[tuple[Imp, int, Imp, int]] = set()
+    stack = [(s, sb, t, tb)]
     while stack:
-        g = _walk(stack.pop(), subst)
+        s, sb, t, tb = stack.pop()
+        while type(s) is Var:
+            nxt = bound[sb].get(s.name)
+            if nxt is None:
+                break
+            s, sb = nxt
+        while type(t) is Var:
+            nxt = bound[tb].get(t.name)
+            if nxt is None:
+                break
+            t, tb = nxt
+        if s is t and sb == tb:
+            continue
+        if type(t) is Var:
+            # Bind the right-hand variable so left-side names survive.
+            if type(s) is not Var and _occurs(t.name, tb, s, sb, bound):
+                return None
+            bound[tb][t.name] = (s, sb)
+        elif type(s) is Var:
+            if _occurs(s.name, sb, t, tb, bound):
+                return None
+            bound[sb][s.name] = (t, tb)
+        else:
+            key = (s, sb, t, tb)
+            if key in seen:
+                continue
+            seen.add(key)
+            stack.append((s.right, sb, t.right, tb))
+            stack.append((s.left, sb, t.left, tb))
+    return bound
+
+
+def _occurs(name: str, bank: int, t: Formula, tb: int, bound: _Bindings) -> bool:
+    """True when variable `name` of `bank` occurs in t, read in bank tb,
+    under the bindings."""
+    visited: set[tuple[Imp, int]] = set()
+    stack = [(t, tb)]
+    while stack:
+        g, b = stack.pop()
+        while type(g) is Var:
+            nxt = bound[b].get(g.name)
+            if nxt is None:
+                break
+            g, b = nxt
         names = g._names
-        # A subterm with no bound variable reads as written.  An unbound
-        # variable, which _walk ends on, always takes this branch.
-        if names is not None and keys.isdisjoint(names):
-            if name in names:
+        # A subterm none of whose names is bound in its bank reads as
+        # written.  An unbound variable, which the chain ends on, always
+        # takes this branch.
+        if names is not None and bound[b].keys().isdisjoint(names):
+            if b == bank and name in names:
                 return True
-        elif id(g) not in visited:
-            visited.add(id(g))
-            stack.append(g.right)
-            stack.append(g.left)
+        elif (g, b) not in visited:
+            visited.add((g, b))
+            stack.append((g.right, b))
+            stack.append((g.left, b))
     return False
+
+
+def _build_banks(
+    roots: list[tuple[Formula, int]],
+    bound: _Bindings,
+    name: Callable[[Var, int], Var],
+) -> list[Formula]:
+    """Each root, read in its bank, under the bindings.  An unbound variable
+    v of bank b becomes name(v, b), asked once per variable and bank in
+    first-occurrence order, roots taken in order.  The roots share one walk:
+    each implication is built once per bank."""
+    names: tuple[dict[Var, Var], dict[Var, Var]] = ({}, {})
+    memo: tuple[dict[Imp, Formula], dict[Imp, Formula]] = ({}, {})
+    built: list[Formula] = []
+    # (term, bank) to read, or (implication, bank + 2) once both operands'
+    # images are on top of `built`.
+    todo = roots[::-1]
+    while todo:
+        g, b = todo.pop()
+        if b > 1:
+            right = built.pop()
+            left = built[-1]
+            built[-1] = memo[b - 2][g] = (
+                g if left is g.left and right is g.right else Imp(left, right)
+            )
+            continue
+        while type(g) is Var:
+            t = bound[b].get(g.name)
+            if t is None:
+                v = names[b].get(g)
+                if v is None:
+                    v = names[b][g] = name(g, b)
+                break
+            g, b = t
+        else:
+            v = memo[b].get(g)
+            if v is None:
+                todo += ((g, b + 2), (g.right, b), (g.left, b))
+                continue
+        built.append(v)
+    return built
 
 
 def unify(a: Formula, b: Formula) -> Substitution | None:
@@ -352,53 +459,14 @@ def unify(a: Formula, b: Formula) -> Substitution | None:
     unify a with rename_apart(b, set(variables(a))).  The result is
     idempotent, with bindings sorted by variable name.  The occurs check is
     mandatory: solutions must be finite formulas, so cyclic bindings are
-    rejected.
+    rejected.  Where both sides are variables the right-hand one is bound,
+    so left-side names survive.
     """
-    subst: dict[str, Formula] = {}
-    stack = [(a, b)]
-    seen: set[tuple[int, int]] = set()
-    while stack:
-        s, t = stack.pop()
-        s = _walk(s, subst)
-        t = _walk(t, subst)
-        if s is t:
-            continue
-        s_var = type(s) is Var
-        t_var = type(t) is Var
-        if s_var and t_var:
-            if s.name != t.name:
-                # Bind the right-hand variable so left-side names survive.
-                subst[t.name] = s
-        elif t_var:
-            if _occurs(t.name, s, subst):
-                return None
-            subst[t.name] = s
-        elif s_var:
-            if _occurs(s.name, t, subst):
-                return None
-            subst[s.name] = t
-        else:
-            key = (id(s), id(t))
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.append((s.right, t.right))
-            stack.append((s.left, t.left))
-    memo: dict[int, Formula] = {}
-    return {v: _resolve(subst[v], subst, memo) for v in sorted(subst)}
-
-
-def _resolve(t: Formula, subst: dict[str, Formula], memo: dict[int, Formula]) -> Formula:
-    t = _walk(t, subst)
-    if type(t) is Var:
-        return t
-    r = memo.get(id(t))
-    if r is None:
-        left = _resolve(t.left, subst, memo)
-        right = _resolve(t.right, subst, memo)
-        r = t if left is t.left and right is t.right else Imp(left, right)
-        memo[id(t)] = r
-    return r
+    bound = _unify_banks(a, 0, b, 0)
+    if bound is None:
+        return None
+    keys = sorted(bound[0])
+    return dict(zip(keys, _build_banks([bound[0][k] for k in keys], bound, lambda v, b: v)))
 
 
 def match_instance(candidate: Formula, pattern: Formula) -> Substitution | None:
@@ -473,6 +541,20 @@ def canonical_rename(f: Formula) -> Formula:
     return apply_substitution(mapping, f)
 
 
+def _apart_names(own: tuple[str, ...], avoid: set[str]) -> dict[str, Var]:
+    """`rename_apart`'s new name for each of `own` that is in `avoid`."""
+    taken = set(own) | avoid
+    fresh: dict[str, Var] = {}
+    for v in own:
+        if v in avoid:
+            k = 2
+            while f"{v}_{k}" in taken:
+                k += 1
+            taken.add(f"{v}_{k}")
+            fresh[v] = Var(f"{v}_{k}")
+    return fresh
+
+
 def rename_apart(f: Formula, avoid: set[str]) -> Formula:
     """Rename f's variables that clash with `avoid`.
 
@@ -480,17 +562,4 @@ def rename_apart(f: Formula, avoid: set[str]) -> Formula:
     becomes v_2, v_3, ... taking the first name free of both `avoid` and f's
     own variables.
     """
-    own = variables(f)
-    taken = set(own) | avoid
-    mapping: Substitution = {}
-    for v in own:
-        if v in avoid:
-            k = 2
-            while f"{v}_{k}" in taken:
-                k += 1
-            fresh = f"{v}_{k}"
-            taken.add(fresh)
-            mapping[v] = Var(fresh)
-    if not mapping:
-        return f
-    return apply_substitution(mapping, f)
+    return apply_substitution(_apart_names(variables(f), avoid), f)

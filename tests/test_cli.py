@@ -327,16 +327,20 @@ def test_deep_goal_is_not_a_traceback(capsys, calcfile, goal, text):
     assert obj["goal"] == text
 
 
-@pytest.fixture(
-    params=["deep-axiom", "nested-json-trace", "long-encode-word"]
-)
+def test_deep_axiom_is_not_a_traceback(capsys, tmp_path):
+    # canonical_rename substitutes into the 1,501-link axiom, which needs an
+    # iterative apply_substitution.
+    deep = tmp_path / "deep.json"
+    axiom = " -> ".join(["x"] * 1501 + ["y"])
+    deep.write_text(json.dumps({"label": "deep", "axioms": [axiom]}))
+    code = main(["derive", "--depth", "0", "--calculus", str(deep), "--goal", "x"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert json.loads(captured.out)["verdict"] == "not-found-within-budget"
+
+
+@pytest.fixture(params=["nested-json-trace", "long-encode-word"])
 def too_deep_argv(request, calcfile, tmp_path):
-    if request.param == "deep-axiom":
-        # canonical_rename calls the recursive apply_substitution
-        deep = tmp_path / "deep.json"
-        axiom = " -> ".join(["x"] * 1501 + ["y"])
-        deep.write_text(json.dumps({"label": "deep", "axioms": [axiom]}))
-        return ["derive", "--depth", "0", "--calculus", str(deep), "--goal", "x"]
     if request.param == "nested-json-trace":
         nested = tmp_path / "nested.json"
         nested.write_text("[" * 100_000)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagforge import engine
+from tagforge import engine, formulas
 from tagforge.codec import DEFAULT_HAT, code_letter, code_word
 from tagforge.engine import (
     AxiomStep,
@@ -178,6 +178,32 @@ def test_check_trace_round_trip_and_mutations():
     assert not check_trace(two, broken, p("b -> b"))
 
 
+def test_check_trace_needs_no_unifier(monkeypatch):
+    # The checker re-derives each step by renaming apart, substituting and
+    # matching; it must accept and reject the same traces with the kernel's
+    # unification switched off.
+    calc = Calculus("ks", (K, S))
+    gens = closure_level(calc, 3).generators
+    g = next(g for g in gens if g.level > 0 and g.trace.steps[-1].unifier)
+    *head, last = g.trace.steps
+    mutated = DerivationTrace((*head, DetachStep(last.major, last.minor, {}, last.result)))
+    assert not check_trace(calc, mutated, g.formula)
+
+    def no_unifier(*args):
+        raise AssertionError("check_trace called a unifier")
+
+    for module, name in [
+        (formulas, "_unify_banks"),
+        (formulas, "_build_banks"),
+        (formulas, "unify"),
+        (engine, "_unify_banks"),
+        (engine, "_build_banks"),
+    ]:
+        monkeypatch.setattr(module, name, no_unifier)
+    assert all(check_trace(calc, g.trace, g.formula) for g in gens)
+    assert not check_trace(calc, mutated, g.formula)
+
+
 def test_chain_check_cases():
     a = code_letter(DEFAULT_HAT, 1)
     empty = ChainProof((a,), ())
@@ -283,16 +309,105 @@ def test_detach_result_is_detachable_instance(major, minor):
     assert alpha_equal(apply_substitution(u, major.right), got)
 
 
-def _detach_renaming_apart(major, minor):
-    """Condensed detachment as the engine did it before `condensed_detach`
-    unified in two variable banks: rename the minor apart from the major,
-    unify, substitute, rename canonically."""
+# The kernel's `unify` as it was before it shared the two-bank loop with
+# condensed detachment, kept verbatim so the differential tests below compare
+# that loop with an independent unifier, not with itself.
+
+
+def _walk(t, subst):
+    while type(t) is Var:
+        nxt = subst.get(t.name)
+        if nxt is None:
+            break
+        t = nxt
+    return t
+
+
+def _occurs(name, t, subst):
+    keys = subst.keys()
+    visited = set()
+    stack = [t]
+    while stack:
+        g = _walk(stack.pop(), subst)
+        names = g._names
+        # A subterm with no bound variable reads as written.  An unbound
+        # variable, which _walk ends on, always takes this branch.
+        if names is not None and keys.isdisjoint(names):
+            if name in names:
+                return True
+        elif id(g) not in visited:
+            visited.add(id(g))
+            stack.append(g.right)
+            stack.append(g.left)
+    return False
+
+
+def _reference_unify(a, b):
+    subst = {}
+    stack = [(a, b)]
+    seen = set()
+    while stack:
+        s, t = stack.pop()
+        s = _walk(s, subst)
+        t = _walk(t, subst)
+        if s is t:
+            continue
+        s_var = type(s) is Var
+        t_var = type(t) is Var
+        if s_var and t_var:
+            if s.name != t.name:
+                # Bind the right-hand variable so left-side names survive.
+                subst[t.name] = s
+        elif t_var:
+            if _occurs(t.name, s, subst):
+                return None
+            subst[t.name] = s
+        elif s_var:
+            if _occurs(s.name, t, subst):
+                return None
+            subst[s.name] = t
+        else:
+            key = (id(s), id(t))
+            if key in seen:
+                continue
+            seen.add(key)
+            stack.append((s.right, t.right))
+            stack.append((s.left, t.left))
+    memo = {}
+    return {v: _resolve(subst[v], subst, memo) for v in sorted(subst)}
+
+
+def _resolve(t, subst, memo):
+    t = _walk(t, subst)
+    if type(t) is Var:
+        return t
+    r = memo.get(id(t))
+    if r is None:
+        left = _resolve(t.left, subst, memo)
+        right = _resolve(t.right, subst, memo)
+        r = t if left is t.left and right is t.right else Imp(left, right)
+        memo[id(t)] = r
+    return r
+
+
+def _detach_step_renaming_apart(major, minor):
+    """The result and unifier of a detachment step as the engine recorded
+    them before `_detach_raw` read them off the bank bindings: rename the
+    minor apart from the major, unify, substitute."""
     if type(major) is not Imp:
         return None
-    u = unify(major.left, rename_apart(minor, set(variables(major))))
+    u = _reference_unify(major.left, rename_apart(minor, set(variables(major))))
     if u is None:
         return None
-    return canonical_rename(apply_substitution(u, major.right))
+    return apply_substitution(u, major.right), u
+
+
+def _detach_renaming_apart(major, minor):
+    """Condensed detachment as the engine did it before `condensed_detach`
+    unified in two variable banks: the renaming-apart step, renamed
+    canonically."""
+    step = _detach_step_renaming_apart(major, minor)
+    return None if step is None else canonical_rename(step[0])
 
 
 # One name pool for both formulas, holding names that `rename_apart` makes,
@@ -336,6 +451,15 @@ def test_condensed_detach_matches_renaming_apart(major, minor):
     assert condensed_detach(major, minor) is _detach_renaming_apart(major, minor)
 
 
+@settings(max_examples=300)
+@given(_clash_formulas, _clash_formulas)
+def test_unify_matches_reference_unifier(a, b):
+    got, want = unify(a, b), _reference_unify(a, b)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert list(got.items()) == list(want.items())
+
+
 _BCI = Calculus(
     "bci", (p("(x -> y) -> (z -> x) -> z -> y"), p("(x -> y -> z) -> y -> x -> z"), p("x -> x"))
 )
@@ -360,6 +484,11 @@ def test_condensed_detach_matches_renaming_apart_on_closures(calc, level, unifie
             got = condensed_detach(major, minor)
             assert got is _detach_renaming_apart(major, minor)
             hits += got is not None
+            step, want = engine._detach_raw(major, minor), _detach_step_renaming_apart(major, minor)
+            assert (step is None) == (want is None)
+            if step is not None:
+                assert step[0] is want[0]
+                assert list(step[1].items()) == list(want[1].items())
     assert hits == unified
 
 

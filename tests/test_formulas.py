@@ -229,6 +229,20 @@ def test_render_deep_nesting_without_recursion():
     assert render_formula(left) == "(" * 4999 + "a -> a" + ") -> a" * 4999
 
 
+def test_substitute_and_unify_deep_nesting_without_recursion():
+    def chain(n, a, b):
+        f = Var(b)
+        for _ in range(n):
+            f = Imp(f, Var(a))
+        return f
+
+    left = chain(5000, "a", "b")
+    assert apply_substitution({"a": Var("c"), "b": Var("d")}, left) is chain(5000, "c", "d")
+    assert rename_apart(left, {"a"}) is chain(5000, "a_2", "b")
+    assert unify(left, chain(5000, "a", "c")) == {"c": Var("b")}
+    assert unify(chain(5000, "a", "b"), chain(4999, "a", "a")) is None
+
+
 def test_apply_substitution_simultaneous():
     yy = p("y -> y")
     assert apply_substitution({"x": yy}, p("x -> x")) == p("(y -> y) -> (y -> y)")
@@ -506,10 +520,12 @@ def test_match_instance_matches_pairs(pattern, subst, other, instance):
         assert list(got) == list(want)
 
 
-def test_match_right_nested_code_against_renamed_copy():
-    # A 200-letter code is a DAG of a few thousand nodes and a tree too large
-    # to walk; matching must visit each pattern node once.
-    code = right_nested(DEFAULT_HAT, "abc" * 67).formula
+@pytest.mark.parametrize("word", ["abc" * 67, "abc" * 133], ids=["201-letters", "399-letters"])
+def test_match_right_nested_code_against_renamed_copy(word):
+    # A code of a few hundred letters is a DAG of a few thousand nodes and a
+    # tree too large to walk; matching must visit each pattern node once.
+    # Renaming must not recurse once per nesting level.
+    code = right_nested(DEFAULT_HAT, word).formula
     renamed = rename_apart(code, set(variables(code)))
     assert renamed is not code
     start = time.perf_counter()
