@@ -14,6 +14,7 @@ import sys
 from .codec import HatTemplate, code_word
 from .engine import (
     Derivable,
+    DetachStep,
     GeneratorCapError,
     check_trace,
     derives,
@@ -21,13 +22,16 @@ from .engine import (
     trace_from_json,
     trace_to_json,
 )
-from .formulas import parse_formula, render_formula
+from .formulas import parse_formula, render_formula, rendered_length
 from .lemmas import WEAKENING_CALCULUS, LemmaReport, run_lemma
 from .reduction import build_reduction, bundle_to_json
 from .tags import Halted, parse_tag_system, tag_reaches, tag_run
 
 DEFAULT_DEPTH = 3
 DEFAULT_MAX_STEPS = 100
+# Most formula text (step results and bound formulas) that `verify --output`
+# writes as witness traces: a trace built along a long run holds gigabytes.
+MAX_WITNESS_CHARS = 10_000_000
 
 
 def _load_system(path: str):
@@ -117,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--system", help="path to a tag file (default: built-in examples)")
     ver.add_argument("--input", help="input word")
     ver.add_argument("--p0", help="path to a calculus JSON")
-    ver.add_argument("--budget", type=int, help="step/level budget")
+    ver.add_argument("--budget", type=int, help="tag-run step budget (lemma7, lemma11); also the closure depth of lemma11's non-halting check")
     ver.add_argument("--depth", type=int, help="closure depth for structure checks")
     ver.add_argument("--output", help="directory for witness files")
     ver.set_defaults(handler=_cmd_verify)
@@ -256,6 +260,16 @@ def _cmd_verify(args) -> int:
     if args.depth is not None:
         options["depth"] = args.depth
     reports = run_lemma(args.lemma, options)
+    if args.output:
+        chars = sum(
+            rendered_length(f)
+            for report in reports
+            for _, trace in report.artifacts
+            for st in trace.steps
+            for f in (st.result, *(st.unifier if isinstance(st, DetachStep) else st.substitution).values())
+        )
+        if chars > MAX_WITNESS_CHARS:
+            raise ValueError(f"witness traces hold {chars} characters, over {MAX_WITNESS_CHARS}")
     failed = False
     for i, report in enumerate(reports):
         obj = _report_to_json(report)

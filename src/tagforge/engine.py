@@ -64,6 +64,7 @@ __all__ = [
     "calculus_from_json",
     "calculus_to_json",
     "chain_check",
+    "chain_trace",
     "check_trace",
     "closure_level",
     "closure_levels",
@@ -217,6 +218,15 @@ def _detach_raw(major: Formula, minor: Formula) -> tuple[Formula, Substitution] 
     return raw, dict(zip(keys, values))
 
 
+def _shifted(trace: DerivationTrace, offset: int) -> list[TraceStep]:
+    """The trace's steps with step references moved up by `offset`."""
+    return [
+        DetachStep(st.major + offset, st.minor + offset, st.unifier, st.result)
+        if isinstance(st, DetachStep) else st
+        for st in trace.steps
+    ]
+
+
 def _splice(
     major: DerivationTrace,
     minor: DerivationTrace,
@@ -224,15 +234,8 @@ def _splice(
     result: Formula,
 ) -> DerivationTrace:
     steps = list(major.steps)
-    offset = len(steps)
-    for st in minor.steps:
-        if isinstance(st, DetachStep):
-            steps.append(
-                DetachStep(st.major + offset, st.minor + offset, st.unifier, st.result)
-            )
-        else:
-            steps.append(st)
-    steps.append(DetachStep(offset - 1, len(steps) - 1, unifier, result))
+    steps += _shifted(minor, len(steps))
+    steps.append(DetachStep(len(major.steps) - 1, len(steps) - 1, unifier, result))
     return DerivationTrace(tuple(steps))
 
 
@@ -495,6 +498,25 @@ class ChainProof:
             waypoints.extend(nxt.waypoints[1:])
             links.extend(nxt.links)
         return ChainProof(tuple(waypoints), tuple(links))
+
+
+def chain_trace(calc: Calculus, proof: ChainProof) -> DerivationTrace:
+    """One trace of the chain's last waypoint: an `AxiomStep` for the first
+    waypoint, then each link's steps and one `DetachStep` of the formula
+    derived so far by the link's formula, recorded with `_detach_raw` as the
+    closure records its steps.  A first waypoint that is not an axiom, or a
+    link that does not detach, is a ValueError."""
+    first = proof.waypoints[0]
+    steps: list[TraceStep] = [AxiomStep(calc.axioms.index(first), {}, first)]
+    for link in proof.links:
+        derived = len(steps) - 1
+        steps += _shifted(link, len(steps))
+        detached = _detach_raw(link.final, steps[derived].result)
+        if detached is None:
+            raise ValueError("a chain link does not detach the formula derived so far")
+        raw, unifier = detached
+        steps.append(DetachStep(len(steps) - 1, derived, unifier, raw))
+    return DerivationTrace(tuple(steps))
 
 
 def chain_check(calc: Calculus, proof: ChainProof) -> bool:

@@ -46,6 +46,7 @@ __all__ = [
     "parse_formula",
     "rename_apart",
     "render_formula",
+    "rendered_length",
     "unify",
     "variables",
 ]
@@ -272,6 +273,30 @@ def render_formula(f: Formula) -> str:
         else:  # the spine ends in a variable, not in reused text
             parts.append(g.name)
     return "".join(parts)
+
+
+_LENGTHS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def rendered_length(f: Formula) -> int:
+    """len(render_formula(f)), counted without building the text: an
+    implication is its operands, " -> ", and parentheses around a left one.
+    Each node is counted once while it lives (`_LENGTHS`), on an explicit
+    stack, so a text too large to build is counted in time linear in f's
+    DAG."""
+    sizes = _LENGTHS
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if g in sizes:
+            continue
+        if type(g) is Var:
+            sizes[g] = len(g.name)
+        elif todo := [h for h in (g.left, g.right) if h not in sizes]:
+            stack += (g, *todo)
+        else:
+            sizes[g] = sizes[g.left] + 2 * (type(g.left) is Imp) + 4 + sizes[g.right]
+    return sizes[f]
 
 
 def variables(f: Formula) -> tuple[str, ...]:

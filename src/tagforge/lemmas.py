@@ -37,6 +37,7 @@ from .engine import (
     DerivationTrace,
     GeneratorCapError,
     chain_check,
+    chain_trace,
     check_trace,
     closure_level,
     find_generators,
@@ -506,14 +507,14 @@ def _first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int |
 def check_halting_equivalence(
     t: TagSystem, p0: Calculus, input_word: str, budget: int
 ) -> LemmaReport:
-    """Forward: a halting run must make every target axiom derivable from the
-    reduction bundle, with traces the independent checker accepts.  An axiom
-    not found within `budget` closure levels is a budget miss, reported as
-    inconclusive.  When the run does not halt within budget the reverse
-    direction is undecidable at desk scale, so the check instead requires the
-    closure characterization to hold at every explored level and every target
-    axiom to stay out of reach; that outcome is reported as inconclusive, not
-    as pass.  A closure that outgrows the generator cap is inconclusive too.
+    """Forward: a run that halts within `budget` steps makes every target
+    axiom derivable by following it: lemma 7's chain from the input's code to
+    the halt word's code, then the halting hook to the axiom, as one
+    `chain_trace` that passes exactly when `check_trace` accepts it.  When the
+    run does not halt within budget the reverse direction is undecidable at
+    desk scale, so the closure characterization must hold up to level
+    `budget` and every target axiom stay out of reach; that outcome, and a
+    closure that outgrows the generator cap, is inconclusive, not pass.
     """
     if not p0.axioms:
         raise ValueError("target calculus must be nonempty")
@@ -522,50 +523,29 @@ def check_halting_equivalence(
     bundle = build_reduction(t, p0, input_word)
     outcome = tag_run(t, input_word, budget)
     instance = f"tag={system_label(t)} input={input_word!r} budget={budget}"
-    halted = isinstance(outcome, Halted)
-    try:
-        if halted:
-            artifacts = []
-            for a, hit in find_generators(bundle.full, p0.axioms, budget):
-                if hit is None:
-                    # The step budget doubles as the closure depth, and a run
-                    # can halt within it while the derivation needs more
-                    # levels.
-                    return LemmaReport(
-                        "lemma11",
-                        instance,
-                        "inconclusive-budget",
-                        {
-                            "direction": "halting",
-                            "underived_axiom": render_formula(a),
-                            "depth": budget,
-                            "halt_steps": outcome.steps,
-                        },
-                    )
-                if not check_trace(bundle.full, hit.trace, a):
-                    return LemmaReport(
-                        "lemma11",
-                        instance,
-                        "fail",
-                        {"axiom": render_formula(a), "reason": "trace rejected"},
-                    )
-                artifacts.append((f"trace[{render_formula(a)}]", hit.trace))
-            return LemmaReport(
-                "lemma11",
-                instance,
-                "pass",
-                {"direction": "halting", "axioms": len(p0.axioms), "halt_steps": outcome.steps},
-                {},
-                tuple(artifacts),
+    if isinstance(outcome, Halted):
+        # The production calculus is the full calculus's prefix, so the run
+        # chain's axiom numbers hold in the full calculus.
+        run = build_run_chain(t, bundle.hat, input_word, outcome.steps)
+        halt_code = run.waypoints[-1]
+        artifacts = []
+        for a in p0.axioms:
+            hook = Imp(halt_code, a)
+            link = DerivationTrace((AxiomStep(bundle.full.axioms.index(hook), {}, hook),))
+            trace = chain_trace(
+                bundle.full, ChainProof.concat([run, ChainProof((halt_code, a), (link,))])
             )
+            if not check_trace(bundle.full, trace, a):
+                witness = {"axiom": render_formula(a), "reason": "trace rejected"}
+                return LemmaReport("lemma11", instance, "fail", witness)
+            artifacts.append((f"trace[{render_formula(a)}]", trace))
+        witness = {"direction": "halting", "axioms": len(p0.axioms), "halt_steps": outcome.steps}
+        return LemmaReport("lemma11", instance, "pass", witness, {}, tuple(artifacts))
+    try:
         verdict, witness, _, top = _classify(t, p0, bundle.hat, input_word, budget, bundle)
     except GeneratorCapError as e:
-        return LemmaReport(
-            "lemma11",
-            instance,
-            "inconclusive-budget",
-            {"direction": "halting" if halted else "non-halting", "reason": str(e)},
-        )
+        witness = {"direction": "non-halting", "reason": str(e)}
+        return LemmaReport("lemma11", instance, "inconclusive-budget", witness)
     if verdict == "fail":
         return LemmaReport("lemma11", instance, "fail", {"production_check": witness})
     for a in p0.axioms:

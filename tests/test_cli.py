@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -229,9 +230,40 @@ def test_verify_lemma11_cap_overflow_exits_0(
     argv = ["verify", "lemma11", "--system", str(path), "--input", "aa", "--budget", "4"]
     code, obj = run_json(capsys, argv)
     assert code == 0
-    assert obj["verdict"] == "inconclusive-budget"
     assert obj["witness"]["direction"] == direction
+    if direction == "halting":
+        # A halting run is followed, not searched for, so no closure meets
+        # the cap.
+        assert obj["verdict"] == "pass"
+        return
+    assert obj["verdict"] == "inconclusive-budget"
     assert obj["witness"]["reason"].startswith("generator cap exceeded at level 0:")
+
+
+def test_verify_lemma11_collatz_halting_run_passes_fast(capsys, tagfile):
+    # The run halts in 24 steps; a closure search to depth 30 took a minute
+    # and still reported inconclusive-budget.
+    argv = ["verify", "lemma11", "--system", tagfile, "--input", "aaa", "--budget", "24"]
+    start = time.perf_counter()
+    code, obj = run_json(capsys, argv)
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert obj["verdict"] == "pass"
+    assert obj["witness"] == {"direction": "halting", "axioms": 1, "halt_steps": 24}
+
+
+def test_verify_lemma11_oversized_witness_writes_nothing(capsys, tagfile, tmp_path):
+    # The 551-step trace is a small DAG, but its formula text is 858 MB.
+    outdir = tmp_path / "wit"
+    argv = ["verify", "lemma11", "--system", tagfile, "--input", "aaa", "--budget", "24"]
+    code = main(argv + ["--output", str(outdir)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error:") and "858524601" in errors[0]
+    assert not outdir.exists()
 
 
 def test_verify_lemma9_cap_overflow_exits_0(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from tagforge.engine import (
     calculus_from_json,
     calculus_to_json,
     chain_check,
+    chain_trace,
     check_trace,
     closure_level,
     condensed_detach,
@@ -215,6 +216,27 @@ def test_chain_check_cases():
     corrupted = ChainProof((a, p("x -> x")), (link,))
     assert not chain_check(K_CALC, corrupted)
     assert not chain_check(K_CALC, ChainProof((), ()))
+
+
+def test_chain_trace_detaches_along_links():
+    # Axioms a -> b, b -> c and a, with a, b, c implications over p: one
+    # axiom step for the start, then per link its step and a detachment.
+    a, b, c = p("p -> p"), p("(p -> p) -> p"), p("p -> p -> p")
+    calc = Calculus("abc", (Imp(a, b), Imp(b, c), a))
+    links = tuple(DerivationTrace((AxiomStep(i, {}, calc.axioms[i]),)) for i in (0, 1))
+    trace = chain_trace(calc, ChainProof((a, b, c), links))
+    assert [type(st) for st in trace.steps] == [
+        AxiomStep, AxiomStep, DetachStep, AxiomStep, DetachStep
+    ]
+    assert [(st.major, st.minor) for st in trace.steps[2::2]] == [(1, 0), (3, 2)]
+    assert alpha_equal(trace.final, c)
+    assert check_trace(calc, trace, c)
+    assert chain_trace(calc, ChainProof((a,), ())).steps == (AxiomStep(2, {}, a),)
+    # a start that is no axiom, and a link whose formula does not detach
+    with pytest.raises(ValueError):
+        chain_trace(calc, ChainProof((b, c), links[1:]))
+    with pytest.raises(ValueError):
+        chain_trace(calc, ChainProof((a, c), links[1:]))
 
 
 def test_chain_concat_validates_endpoints():

@@ -23,6 +23,7 @@ from tagforge.formulas import (
     parse_formula,
     rename_apart,
     render_formula,
+    rendered_length,
     unify,
     variables,
 )
@@ -472,6 +473,20 @@ def test_render_bundle_matches_streamed(word):
     for key in GROUP_ORDER:
         for f in bundle.groups[key]:
             assert render_formula(f) == _render_streamed(f)
+
+
+@settings(max_examples=200)
+@given(_wide_formulas)
+def test_rendered_length_matches_render(f):
+    assert rendered_length(f) == len(render_formula(f))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_rendered_length_deep_chain(side):
+    f = Var("a")
+    for _ in range(5_000):
+        f = Imp(f, Var("bc")) if side == "left" else Imp(Var("bc"), f)
+    assert rendered_length(f) == len(render_formula(f))
 
 
 def test_unify_occurs_check_through_bindings():

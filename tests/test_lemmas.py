@@ -292,15 +292,14 @@ def test_lemma11_non_halting_is_inconclusive():
     assert report.witness["production_verdict"] == "pass"
 
 
-def test_lemma11_budget_miss_is_inconclusive():
-    # The run halts in exactly `budget` steps, but the derivation needs more
-    # closure levels than that: a budget miss, not a failure.
+def test_lemma11_run_halting_at_budget_passes():
+    # The run halts in exactly `budget` steps.  The derivation follows the
+    # run, so the budget bounds nothing else: a closure search needed more
+    # levels than steps here.
     t = parse_tag_system("d=2\na -> ba\nb -> b\n")
     report = check_halting_equivalence(t, K_CALC, "baa", 3)
-    assert report.verdict == "inconclusive-budget"
-    assert report.witness["direction"] == "halting"
-    assert report.witness["depth"] == 3
-    assert check_halting_equivalence(t, K_CALC, "baa", 5).verdict == "pass"
+    assert report.verdict == "pass"
+    assert report.witness == {"direction": "halting", "axioms": 1, "halt_steps": 3}
 
 
 @pytest.fixture
@@ -348,19 +347,87 @@ def test_lemma11_non_halting_closes_each_calculus_once(closure_runs):
     assert len(bundles) == 1
 
 
-def test_lemma11_halting_closes_once_and_no_deeper(closure_runs):
-    # Two target axioms share one closure run, which stops at the deepest
-    # level either axiom needs.
-    runs, levels, _ = closure_runs
+def test_lemma11_halting_runs_no_closure(closure_runs):
+    # A halting run is followed, not searched for: no closure runs, one
+    # bundle is built, and each target axiom gets a trace of its own.
+    runs, _, bundles = closure_runs
     p0 = Calculus("k+i", (WEAKENING_AXIOM, parse_formula("y -> x -> x")))
     report = check_halting_equivalence(shrinking_system(), p0, "aa", 4)
     assert report.verdict == "pass"
-    assert runs == {"reduction:aa": 1}
-    computed = levels["reduction:aa"]
+    assert runs == {}
+    assert len(bundles) == 1
     full = build_reduction(shrinking_system(), p0, "aa").full
-    found = [derives(full, a, 4) for a in p0.axioms]
-    assert all(isinstance(v, Derivable) for v in found)
-    assert computed == max(v.level for v in found) + 1
+    assert len(report.artifacts) == len(p0.axioms)
+    for a, (name, trace) in zip(p0.axioms, report.artifacts):
+        assert name == f"trace[{render_formula(a)}]"
+        assert check_trace(full, trace, a)
+
+
+def _constructed_trace(t, word, budget):
+    """check_halting_equivalence's trace for the weakening axiom, with the
+    calculus that checks it."""
+    report = check_halting_equivalence(t, K_CALC, word, budget)
+    assert report.verdict == "pass"
+    ((_, trace),) = report.artifacts
+    return build_reduction(t, K_CALC, word).full, trace
+
+
+@pytest.mark.parametrize(
+    "system, word",
+    [(shrinking_system(), w) for w in ("aa", "aaa", "aaaa", "aaaaa")]
+    + [(collatz_system(), "aa"), (collatz_system(), "aaaa")],
+)
+def test_lemma11_constructed_trace_agrees_with_closure(system, word):
+    # Differential: on runs a closure search still reaches, the closure's
+    # trace and the trace built along the run are both accepted.
+    full, constructed = _constructed_trace(system, word, 10)
+    found = derives(full, WEAKENING_AXIOM, 8)
+    assert isinstance(found, Derivable)
+    assert check_trace(full, found.trace, WEAKENING_AXIOM)
+    assert check_trace(full, constructed, WEAKENING_AXIOM)
+    # the run's code, one detachment per link, the hook and its detachment
+    links = len(build_run_chain(system, H, word, 10).links)
+    assert len(constructed.steps) == 1 + 2 * (links + 1)
+
+
+def _mutants(trace, calc):
+    """Each kind of mutation wherever it applies, one step at a time: a
+    changed axiom number, an emptied unifier, a detachment with major and
+    minor swapped, and the hook dropped (the last two steps)."""
+    steps = trace.steps
+    axioms = calc.axioms
+
+    def with_step(i, st):
+        return DerivationTrace(steps[:i] + (st,) + steps[i + 1 :])
+
+    out = {"axiom": [], "unifier": [], "swap": [], "hook": [DerivationTrace(steps[:-2])]}
+    for i, st in enumerate(steps):
+        if isinstance(st, AxiomStep):
+            # the next axiom that is a different formula
+            other = next(
+                j % len(axioms)
+                for j in range(st.axiom + 1, st.axiom + len(axioms))
+                if axioms[j % len(axioms)] is not axioms[st.axiom]
+            )
+            out["axiom"].append(with_step(i, dataclasses.replace(st, axiom=other)))
+        else:
+            if st.unifier:
+                out["unifier"].append(with_step(i, dataclasses.replace(st, unifier={})))
+            out["swap"].append(with_step(i, dataclasses.replace(st, major=st.minor, minor=st.major)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "system, word", [(shrinking_system(), "aaa"), (collatz_system(), "aa")]
+)
+def test_lemma11_constructed_trace_mutations_rejected(system, word):
+    full, trace = _constructed_trace(system, word, 10)
+    assert check_trace(full, trace, WEAKENING_AXIOM)
+    mutants = _mutants(trace, full)
+    assert all(mutants.values())
+    for kind, traces in mutants.items():
+        for mutant in traces:
+            assert not check_trace(full, mutant, WEAKENING_AXIOM), kind
 
 
 def test_lemma11_rejects_empty_target():
