@@ -260,6 +260,9 @@ def _cmd_verify(args) -> int:
     if args.depth is not None:
         options["depth"] = args.depth
     reports = run_lemma(args.lemma, options)
+    # Witness files are all written before any report is printed, so a
+    # witness that cannot be written leaves stdout empty.
+    files: dict[int, list[str]] = {}
     if args.output:
         chars = sum(
             rendered_length(f)
@@ -270,15 +273,13 @@ def _cmd_verify(args) -> int:
         )
         if chars > MAX_WITNESS_CHARS:
             raise ValueError(f"witness traces hold {chars} characters, over {MAX_WITNESS_CHARS}")
-    failed = False
+        files = {i: _dump_artifacts(r, args.output, i) for i, r in enumerate(reports) if r.artifacts}
     for i, report in enumerate(reports):
         obj = _report_to_json(report)
-        if args.output and report.artifacts:
-            obj["witness_files"] = _dump_artifacts(report, args.output, i)
+        if i in files:
+            obj["witness_files"] = files[i]
         print(json.dumps(obj, sort_keys=False))
-        if report.verdict == "fail":
-            failed = True
-    return 1 if failed else 0
+    return 1 if any(report.verdict == "fail" for report in reports) else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,6 +35,7 @@ from .formulas import (
     Imp,
     Substitution,
     Var,
+    _Bindings,
     _apart_names,
     _build_banks,
     _unify_banks,
@@ -117,8 +118,8 @@ class DetachStep:
     `rename_apart`, which is deterministic), the unifier equates the major's
     antecedent with the renamed minor, and result is the unifier applied to
     the major's consequent.  That is what `check_trace` re-derives.
-    `closure_levels` builds a step only for a pair whose result it keeps, and
-    `_detach_raw` builds it without a renamed copy.
+    `_detach_step` builds it, without a renamed copy, from the bindings that
+    decided the pair detaches, so a step costs no second unification.
     """
 
     major: int
@@ -170,42 +171,29 @@ class NotFoundWithinBudget:
     depth: int
 
 
-def condensed_detach(major: Formula, minor: Formula) -> Formula | None:
-    """Most general consequent of modus ponens between the two formulas, in
-    canonical form: the one-step rule that `closure_levels` applies to every
-    pair of generators.
-
-    None when the major is not an implication or its antecedent does not
-    unify with the minor, the two formulas' variables taken as distinct.
-    Nothing is renamed apart: the kernel's unification reads the major in
-    variable bank 0 and the minor in bank 1.  The result is then built once,
-    straight into canonical names (x1, x2, ... in first-occurrence order),
-    from the major's consequent under the bindings.  A most general unifier
-    is unique up to renaming, so this is the same object as
-    `canonical_rename` of `_detach_raw`'s result.
-    """
+def _premise_bindings(major: Formula, minor: Formula) -> _Bindings | None:
+    """How the pair detaches, or None when it does not: the bindings that
+    unify the major's antecedent, read in variable bank 0, with the minor,
+    read in bank 1, so the two formulas' variables are distinct without
+    renaming either.  The engine's one unification; the builders below
+    read its bindings."""
     if type(major) is not Imp:
         return None
-    bound = _unify_banks(major.left, 0, minor, 1)
-    if bound is None:
-        return None
+    return _unify_banks(major.left, 0, minor, 1)
+
+
+def _canonical_consequent(major: Imp, bound: _Bindings) -> Formula:
+    """The major's consequent under the bindings, built once, straight into
+    canonical names (x1, x2, ... in first-occurrence order)."""
     numbers = count(1)
     return _build_banks([(major.right, 0)], bound, lambda v, b: Var(f"x{next(numbers)}"))[0]
 
 
-def _detach_raw(major: Formula, minor: Formula) -> tuple[Formula, Substitution] | None:
-    """The result and unifier that a `DetachStep` of major and minor records.
-
-    They are read off bank bindings, as `condensed_detach`'s result is: the
-    minor's variables are named as `rename_apart` would rename them apart
-    from the major's, and the major's as written.  So the step is what
-    `check_trace` re-derives, without a renamed copy.
-    """
-    if type(major) is not Imp:
-        return None
-    bound = _unify_banks(major.left, 0, minor, 1)
-    if bound is None:
-        return None
+def _detach_step(major: Imp, minor: Formula, bound: _Bindings) -> tuple[Formula, Substitution]:
+    """The result and unifier that a `DetachStep` of major and minor records,
+    read off the bindings: the minor's variables are named as `rename_apart`
+    would rename them apart from the major's, and the major's as written.
+    So the step is what `check_trace` re-derives, without a renamed copy."""
     fresh = _apart_names(variables(minor), set(variables(major)))
 
     def name(v: Var, bank: int) -> Var:
@@ -216,6 +204,16 @@ def _detach_raw(major: Formula, minor: Formula) -> tuple[Formula, Substitution] 
     keys = sorted(terms)
     raw, *values = _build_banks([(major.right, 0), *(terms[k] for k in keys)], bound, name)
     return raw, dict(zip(keys, values))
+
+
+def condensed_detach(major: Formula, minor: Formula) -> Formula | None:
+    """Most general consequent of modus ponens between the two formulas, in
+    canonical form, or None when they do not detach: the one-step rule that
+    `closure_levels` applies to every pair of generators.  A most general
+    unifier is unique up to renaming, so this is the same object as
+    `canonical_rename` of `_detach_step`'s result."""
+    bound = _premise_bindings(major, minor)
+    return None if bound is None else _canonical_consequent(major, bound)
 
 
 def _shifted(trace: DerivationTrace, offset: int) -> list[TraceStep]:
@@ -334,11 +332,10 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     dropped.  Output order is deterministic: majors then minors in discovery
     order, frontier pairs only.
 
-    Each pair's result comes from `condensed_detach`, canonical by
-    construction, which is what deduplication and subsumption read.  Only a
-    pair whose result is kept goes through `_detach_raw`, which unifies it
-    again with the same loop and reads its `DetachStep` off the bindings: on
-    K+S to level 4 that is 850 of 4,900 pairs.
+    Each pair is unified once, by `_premise_bindings`.  Its result is built
+    canonical from the bindings, which is what deduplication and subsumption
+    read, and only a pair whose result is kept has its `DetachStep` built
+    from the same bindings: on K+S to level 4 that is 850 of 4,900 pairs.
 
     The retained generators, earlier levels' and this level's alike, are
     kept in a `_GeneralisationIndex`.  Its candidates are a superset of the
@@ -393,10 +390,13 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
                 # formulas) so the recorded unifier re-validates against the
                 # spliced steps.
                 major, minor = gens[mi].trace, gens[ni].trace
-                canon = condensed_detach(major.final, minor.final)
-                if canon is None or not keep(canon):
+                bound = _premise_bindings(major.final, minor.final)
+                if bound is None:
                     continue
-                raw, unifier = _detach_raw(major.final, minor.final)
+                canon = _canonical_consequent(major.final, bound)
+                if not keep(canon):
+                    continue
+                raw, unifier = _detach_step(major.final, minor.final, bound)
                 gens.append(Generator(canon, _splice(major, minor, unifier, raw), level))
                 if len(gens) > cap:
                     raise GeneratorCapError(level, len(gens), cap)
@@ -500,21 +500,19 @@ class ChainProof:
         return ChainProof(tuple(waypoints), tuple(links))
 
 
-def chain_trace(calc: Calculus, proof: ChainProof) -> DerivationTrace:
-    """One trace of the chain's last waypoint: an `AxiomStep` for the first
-    waypoint, then each link's steps and one `DetachStep` of the formula
-    derived so far by the link's formula, recorded with `_detach_raw` as the
-    closure records its steps.  A first waypoint that is not an axiom, or a
-    link that does not detach, is a ValueError."""
-    first = proof.waypoints[0]
-    steps: list[TraceStep] = [AxiomStep(calc.axioms.index(first), {}, first)]
-    for link in proof.links:
+def chain_trace(start: DerivationTrace, links: Sequence[DerivationTrace]) -> DerivationTrace:
+    """`start` extended along the links: for each link, its steps and one
+    `DetachStep` of the formula derived so far by the link's formula, built
+    as the closure builds its steps.  A link that does not detach is a
+    ValueError."""
+    steps = list(start.steps)
+    for link in links:
         derived = len(steps) - 1
         steps += _shifted(link, len(steps))
-        detached = _detach_raw(link.final, steps[derived].result)
-        if detached is None:
+        bound = _premise_bindings(link.final, steps[derived].result)
+        if bound is None:
             raise ValueError("a chain link does not detach the formula derived so far")
-        raw, unifier = detached
+        raw, unifier = _detach_step(link.final, steps[derived].result, bound)
         steps.append(DetachStep(len(steps) - 1, derived, unifier, raw))
     return DerivationTrace(tuple(steps))
 

@@ -509,12 +509,13 @@ def check_halting_equivalence(
 ) -> LemmaReport:
     """Forward: a run that halts within `budget` steps makes every target
     axiom derivable by following it: lemma 7's chain from the input's code to
-    the halt word's code, then the halting hook to the axiom, as one
-    `chain_trace` that passes exactly when `check_trace` accepts it.  When the
-    run does not halt within budget the reverse direction is undecidable at
-    desk scale, so the closure characterization must hold up to level
-    `budget` and every target axiom stay out of reach; that outcome, and a
-    closure that outgrows the generator cap, is inconclusive, not pass.
+    the halt word's code, traced once by `chain_trace`, then for each axiom
+    one detachment by its halting hook.  The axiom passes exactly when
+    `check_trace` accepts that trace.  When the run does not halt within
+    budget the reverse direction is undecidable at desk scale, so the
+    closure characterization must hold up to level `budget` and every
+    target axiom stay out of reach; that outcome, and a closure that
+    outgrows the generator cap, is inconclusive, not pass.
     """
     if not p0.axioms:
         raise ValueError("target calculus must be nonempty")
@@ -524,17 +525,16 @@ def check_halting_equivalence(
     outcome = tag_run(t, input_word, budget)
     instance = f"tag={system_label(t)} input={input_word!r} budget={budget}"
     if isinstance(outcome, Halted):
+        def axiom(f: Formula) -> DerivationTrace:
+            return DerivationTrace((AxiomStep(bundle.full.axioms.index(f), {}, f),))
+
         # The production calculus is the full calculus's prefix, so the run
         # chain's axiom numbers hold in the full calculus.
         run = build_run_chain(t, bundle.hat, input_word, outcome.steps)
-        halt_code = run.waypoints[-1]
+        run_trace = chain_trace(axiom(run.waypoints[0]), run.links)
         artifacts = []
         for a in p0.axioms:
-            hook = Imp(halt_code, a)
-            link = DerivationTrace((AxiomStep(bundle.full.axioms.index(hook), {}, hook),))
-            trace = chain_trace(
-                bundle.full, ChainProof.concat([run, ChainProof((halt_code, a), (link,))])
-            )
+            trace = chain_trace(run_trace, (axiom(Imp(run.waypoints[-1], a)),))
             if not check_trace(bundle.full, trace, a):
                 witness = {"axiom": render_formula(a), "reason": "trace rejected"}
                 return LemmaReport("lemma11", instance, "fail", witness)

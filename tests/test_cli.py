@@ -266,6 +266,20 @@ def test_verify_lemma11_oversized_witness_writes_nothing(capsys, tagfile, tmp_pa
     assert not outdir.exists()
 
 
+def test_verify_output_onto_a_file_prints_nothing(capsys, tmp_path):
+    # Every witness file is written before the first report line, so a
+    # witness directory that cannot be made leaves stdout empty.
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    code = main(["verify", "all", "--output", str(taken)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error:")
+    assert "Traceback" not in captured.err
+
+
 def test_verify_lemma9_cap_overflow_exits_0(capsys, monkeypatch):
     monkeypatch.setenv("TAGFORGE_GENERATOR_CAP", "5")
     code, obj = run_json(capsys, ["verify", "lemma9"])

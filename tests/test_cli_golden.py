@@ -4,8 +4,9 @@ to the output recorded before the term kernel was hash-consed.
 Each case runs `main(argv)` in-process and compares the exit code and the
 sha256 of stdout (and of the trace file, for `derive --trace-out`) with
 digests recorded at that commit.  The corpus covers every subcommand and
-every lemma id at small sizes.  `--output` is left out because its stdout
-names temporary paths.  A few cases also run in fresh interpreters under
+every lemma id at small sizes.  `--output` is left out of it because its
+stdout names temporary paths; one lemma 11 run pins the bytes of the
+witness files it writes instead.  A few cases also run in fresh interpreters under
 two hash seeds, since formula hashes are object ids.
 """
 
@@ -27,6 +28,7 @@ FILES = {
     "collatz.tag": "d=2\na -> bc\nb -> a\nc -> aaa\n",
     "shrink.tag": "d=2\na -> b\nb -> b\n",
     "k.json": json.dumps({"label": "weakening", "axioms": ["x -> y -> x"]}),
+    "ki.json": json.dumps({"label": "k+i", "axioms": ["x -> y -> x", "y -> x -> x"]}),
     "ks.json": json.dumps(
         {
             "label": "ks",
@@ -142,6 +144,26 @@ def test_stdout_matches_golden(corpus_results, case_id, code, digest):
 def test_trace_file_matches_golden(corpus_results, case_id, digest):
     _, traces = corpus_results
     assert traces[case_id] == digest
+
+
+# sha256 of each witness file of a lemma 11 halting run with two target
+# axioms, recorded before a run's trace was built once for all axioms.
+WITNESS_ARGV = ["verify", "lemma11", "--system", "{shrink.tag}", "--input", "aaaa",
+                "--budget", "10", "--p0", "{ki.json}", "--output"]
+WITNESS_DIGESTS = {
+    "lemma11-0-0.json": "a7deb2110011b1155eebdb6de37acb433c4a9d4e5342c19aa553a1f62eda33a9",
+    "lemma11-0-1.json": "6b0b01251bc39f3a3e16d20b87f122d942b2ff581fbddb22e1f785b104cab3b5",
+}
+
+
+def test_witness_files_match_golden(tmp_path, capsys):
+    subst = write_corpus(tmp_path)
+    outdir = tmp_path / "witness"
+    assert main([subst.get(arg, arg) for arg in WITNESS_ARGV] + [str(outdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["witness_files"] == [
+        str(outdir / name) for name in WITNESS_DIGESTS
+    ]
+    assert {f.name: _sha256(f.read_bytes()) for f in outdir.iterdir()} == WITNESS_DIGESTS
 
 
 # Cases whose output passes through set or dict iteration over formulas,

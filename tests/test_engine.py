@@ -219,24 +219,24 @@ def test_chain_check_cases():
 
 
 def test_chain_trace_detaches_along_links():
-    # Axioms a -> b, b -> c and a, with a, b, c implications over p: one
-    # axiom step for the start, then per link its step and a detachment.
+    # Axioms a -> b, b -> c and a, with a, b, c implications over p: the
+    # start's axiom step, then per link its step and a detachment.
     a, b, c = p("p -> p"), p("(p -> p) -> p"), p("p -> p -> p")
     calc = Calculus("abc", (Imp(a, b), Imp(b, c), a))
-    links = tuple(DerivationTrace((AxiomStep(i, {}, calc.axioms[i]),)) for i in (0, 1))
-    trace = chain_trace(calc, ChainProof((a, b, c), links))
+    start, *links = (DerivationTrace((AxiomStep(i, {}, calc.axioms[i]),)) for i in (2, 0, 1))
+    trace = chain_trace(start, links)
     assert [type(st) for st in trace.steps] == [
         AxiomStep, AxiomStep, DetachStep, AxiomStep, DetachStep
     ]
     assert [(st.major, st.minor) for st in trace.steps[2::2]] == [(1, 0), (3, 2)]
     assert alpha_equal(trace.final, c)
     assert check_trace(calc, trace, c)
-    assert chain_trace(calc, ChainProof((a,), ())).steps == (AxiomStep(2, {}, a),)
-    # a start that is no axiom, and a link whose formula does not detach
+    # extending a trace keeps its steps
+    assert chain_trace(chain_trace(start, links[:1]), links[1:]) == trace
+    assert chain_trace(start, ()) == start
+    # a link whose formula does not detach the formula derived so far
     with pytest.raises(ValueError):
-        chain_trace(calc, ChainProof((b, c), links[1:]))
-    with pytest.raises(ValueError):
-        chain_trace(calc, ChainProof((a, c), links[1:]))
+        chain_trace(start, links[1:])
 
 
 def test_chain_concat_validates_endpoints():
@@ -414,7 +414,7 @@ def _resolve(t, subst, memo):
 
 def _detach_step_renaming_apart(major, minor):
     """The result and unifier of a detachment step as the engine recorded
-    them before `_detach_raw` read them off the bank bindings: rename the
+    them before `_detach_step` read them off the bank bindings: rename the
     minor apart from the major, unify, substitute."""
     if type(major) is not Imp:
         return None
@@ -506,27 +506,31 @@ def test_condensed_detach_matches_renaming_apart_on_closures(calc, level, unifie
             got = condensed_detach(major, minor)
             assert got is _detach_renaming_apart(major, minor)
             hits += got is not None
-            step, want = engine._detach_raw(major, minor), _detach_step_renaming_apart(major, minor)
-            assert (step is None) == (want is None)
-            if step is not None:
+            bound = engine._premise_bindings(major, minor)
+            want = _detach_step_renaming_apart(major, minor)
+            assert (bound is None) == (got is None) == (want is None)
+            if bound is not None:
+                step = engine._detach_step(major, minor, bound)
                 assert step[0] is want[0]
                 assert list(step[1].items()) == list(want[1].items())
     assert hits == unified
 
 
 def test_closure_renames_apart_only_kept_pairs(monkeypatch):
-    # Detaching every frontier pair by renaming apart made 4,900 calls here.
-    real = engine._detach_raw
-    calls = 0
+    # Each frontier pair is unified once, and only a kept pair's step is
+    # built from its bindings.  Unifying each kept pair a second time to
+    # record its step made 5,750 unifications here.
+    calls = {"_unify_banks": 0, "_detach_step": 0}
+    for name in calls:
 
-    def counting(major, minor):
-        nonlocal calls
-        calls += 1
-        return real(major, minor)
+        def counting(*args, name=name, real=getattr(engine, name)):
+            calls[name] += 1
+            return real(*args)
 
-    monkeypatch.setattr(engine, "_detach_raw", counting)
+        monkeypatch.setattr(engine, name, counting)
     gens = closure_level(Calculus("ks", (K, S)), 4).generators
-    assert calls == sum(g.level > 0 for g in gens) == 850
+    assert calls["_unify_banks"] == 4900
+    assert calls["_detach_step"] == sum(g.level > 0 for g in gens) == 850
 
 
 class _SkeletonIndex:

@@ -363,6 +363,28 @@ def test_lemma11_halting_runs_no_closure(closure_runs):
         assert check_trace(full, trace, a)
 
 
+def test_lemma11_traces_the_run_once(monkeypatch):
+    # One unification per run link and one per target axiom's hook:
+    # tracing the whole run again for each axiom made 18 here.
+    calls = 0
+    unify_banks = engine._unify_banks
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return unify_banks(*args)
+
+    monkeypatch.setattr(engine, "_unify_banks", counting)
+    p0 = Calculus("k+i", (WEAKENING_AXIOM, parse_formula("y -> x -> x")))
+    report = check_halting_equivalence(shrinking_system(), p0, "aaaa", 10)
+    assert report.verdict == "pass"
+    assert calls == 8 + 2
+    assert len(build_run_chain(shrinking_system(), H, "aaaa", 10).links) == 8
+    full = build_reduction(shrinking_system(), p0, "aaaa").full
+    for a, (_, trace) in zip(p0.axioms, report.artifacts, strict=True):
+        assert check_trace(full, trace, a)
+
+
 def _constructed_trace(t, word, budget):
     """check_halting_equivalence's trace for the weakening axiom, with the
     calculus that checks it."""
