@@ -33,7 +33,6 @@ from .engine import (
     check_trace,
     closure_level,
     closure_levels,
-    condensed_detach,
     derives,
     naive_closure_oracle,
 )
@@ -80,6 +79,7 @@ from .tags import (
     TagSystem,
     TagSystemError,
     parse_tag_system,
+    tag_path,
     tag_reaches,
     tag_run,
     tag_step,

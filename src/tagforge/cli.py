@@ -179,7 +179,7 @@ def _cmd_tag_reach(args) -> int:
 
 def _cmd_reduce(args) -> int:
     system = _load_system(args.system)
-    p0 = load_calculus(args.p0) if args.p0 else WEAKENING_CALCULUS
+    p0 = load_calculus(args.p0) if args.p0 is not None else WEAKENING_CALCULUS
     bundle = build_reduction(system, p0, args.input)
     _emit(bundle_to_json(bundle), args.format)
     return 0
@@ -249,11 +249,11 @@ def _cmd_verify(args) -> int:
         options["alphabet_size"] = args.alphabet
     if args.max_len is not None:
         options["max_len"] = args.max_len
-    if args.system:
+    if args.system is not None:
         options["system"] = _load_system(args.system)
-    if args.input:
+    if args.input is not None:
         options["input_word"] = args.input
-    if args.p0:
+    if args.p0 is not None:
         options["p0"] = load_calculus(args.p0)
     if args.budget is not None:
         options["budget"] = args.budget

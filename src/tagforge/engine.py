@@ -69,7 +69,6 @@ __all__ = [
     "check_trace",
     "closure_level",
     "closure_levels",
-    "condensed_detach",
     "derives",
     "find_generators",
     "load_calculus",
@@ -204,16 +203,6 @@ def _detach_step(major: Imp, minor: Formula, bound: _Bindings) -> tuple[Formula,
     keys = sorted(terms)
     raw, *values = _build_banks([(major.right, 0), *(terms[k] for k in keys)], bound, name)
     return raw, dict(zip(keys, values))
-
-
-def condensed_detach(major: Formula, minor: Formula) -> Formula | None:
-    """Most general consequent of modus ponens between the two formulas, in
-    canonical form, or None when they do not detach: the one-step rule that
-    `closure_levels` applies to every pair of generators.  A most general
-    unifier is unique up to renaming, so this is the same object as
-    `canonical_rename` of `_detach_step`'s result."""
-    bound = _premise_bindings(major, minor)
-    return None if bound is None else _canonical_consequent(major, bound)
 
 
 def _shifted(trace: DerivationTrace, offset: int) -> list[TraceStep]:

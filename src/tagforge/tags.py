@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 __all__ = [
     "BudgetExhausted",
@@ -19,6 +20,7 @@ __all__ = [
     "parse_tag_system",
     "render_tag_file",
     "run_words",
+    "tag_path",
     "tag_reaches",
     "tag_run",
     "tag_step",
@@ -125,12 +127,27 @@ def _check_word(t: TagSystem, word: str) -> None:
             raise TagSystemError(f"letter {ch!r} outside alphabet")
 
 
+def tag_path(t: TagSystem, word: str, max_steps: int) -> Iterator[str]:
+    """The run from `word`: `word` itself, then the word after each
+    production, until a word is shorter than the deletion number or after
+    `max_steps` productions.  The one loop that steps a run; the budget and
+    the word are checked before the first word is yielded."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be nonnegative")
+    _check_word(t, word)
+    yield word
+    for _ in range(max_steps):
+        if len(word) < t.deletion:
+            return
+        word = word[t.deletion:] + t.productions[word[0]]
+        yield word
+
+
 def tag_step(t: TagSystem, word: str) -> str | None:
     """One production, or None when the word is too short to apply."""
-    _check_word(t, word)
-    if len(word) < t.deletion:
-        return None
-    return word[t.deletion:] + t.productions[word[0]]
+    path = tag_path(t, word, 1)
+    next(path)
+    return next(path, None)
 
 
 def tag_run(t: TagSystem, word: str, max_steps: int) -> RunOutcome:
@@ -139,17 +156,11 @@ def tag_run(t: TagSystem, word: str, max_steps: int) -> RunOutcome:
     A word already shorter than the deletion number counts as halted after
     zero steps.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    _check_word(t, word)
-    current = word
-    steps = 0
-    while len(current) >= t.deletion:
-        if steps >= max_steps:
-            return BudgetExhausted(current)
-        current = current[t.deletion:] + t.productions[current[0]]
-        steps += 1
-    return Halted(current, steps)
+    for steps, current in enumerate(tag_path(t, word, max_steps)):
+        pass
+    if len(current) < t.deletion:
+        return Halted(current, steps)
+    return BudgetExhausted(current)
 
 
 def tag_reaches(t: TagSystem, source: str, target: str, max_steps: int) -> bool:
@@ -170,18 +181,9 @@ def run_words(t: TagSystem, word: str, max_steps: int) -> list[str]:
 
     Stops on halt, on a revisit, or when the budget is exhausted.
     """
-    if max_steps < 0:
-        raise ValueError("max_steps must be nonnegative")
-    _check_word(t, word)
-    out = [word]
-    seen = {word}
-    current = word
-    for _ in range(max_steps):
-        if len(current) < t.deletion:
-            break
-        current = current[t.deletion:] + t.productions[current[0]]
+    seen: dict[str, None] = {}
+    for current in tag_path(t, word, max_steps):
         if current in seen:
             break
-        seen.add(current)
-        out.append(current)
-    return out
+        seen[current] = None
+    return list(seen)

@@ -303,6 +303,9 @@ def test_domain_error_exit_1(capsys, tmp_path):
     bad.write_text("d=2\na -> \n")
     assert main(["tag", "run", "--system", str(bad), "--input", "a"]) == 1
     assert main(["encode", "--word", ""]) == 1
+    good = tmp_path / "good.tag"
+    good.write_text(COLLATZ)
+    assert main(["reduce", "--system", str(good), "--input", "aa", "--p0", ""]) == 1
 
 
 @pytest.mark.parametrize(
@@ -326,6 +329,45 @@ def test_verify_sweep_bounds_exit_1(capsys, argv):
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# An empty option is an error, not the default instance: each of these
+# printed `pass` for a built-in input, system or target calculus.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lemma7", "--input", ""],
+        ["lemma9", "--input", ""],
+        ["lemma7", "--system", ""],
+        ["lemma11", "--p0", ""],
+        ["lemma7", "--budget", "-1"],
+        ["lemma11", "--budget", "-1"],
+    ],
+    ids=[
+        "lemma7-empty-input",
+        "lemma9-empty-input",
+        "lemma7-empty-system",
+        "lemma11-empty-p0",
+        "lemma7-negative-budget",
+        "lemma11-negative-budget",
+    ],
+)
+def test_verify_bad_option_exit_1(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_verify_lemma6_budget_checked_before_any_chain(capsys):
+    # 26 letters up to length 6 make about 5.5e11 chains; the sweep ran past
+    # 20 s before its count was checked first.
+    start = time.perf_counter()
+    code, report = run_json(capsys, ["verify", "lemma6", "--alphabet", "26", "--max-len", "6"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["verdict"] == "inconclusive-budget"
+    assert report["witness"] == {"reason": "547267673966 chains exceeds budget 10000"}
 
 
 def test_verify_lemma3_budget_checked_before_enumeration():

@@ -23,7 +23,6 @@ from tagforge.engine import (
     chain_trace,
     check_trace,
     closure_level,
-    condensed_detach,
     derives,
     find_generators,
     naive_closure_oracle,
@@ -49,6 +48,14 @@ p = parse_formula
 K = p("x -> y -> x")
 S = p("(x -> (y -> z)) -> ((x -> y) -> (x -> z))")
 K_CALC = Calculus("weakening", (K,))
+
+
+def condensed_detach(major, minor):
+    """The closure's detachment of one pair: the most general consequent of
+    modus ponens, in canonical form, or None when the pair does not detach.
+    `closure_levels` reads it off these two functions."""
+    bound = engine._premise_bindings(major, minor)
+    return None if bound is None else engine._canonical_consequent(major, bound)
 
 
 def test_condensed_detach_examples():
@@ -425,9 +432,8 @@ def _detach_step_renaming_apart(major, minor):
 
 
 def _detach_renaming_apart(major, minor):
-    """Condensed detachment as the engine did it before `condensed_detach`
-    unified in two variable banks: the renaming-apart step, renamed
-    canonically."""
+    """Condensed detachment as the engine did it before it unified in two
+    variable banks: the renaming-apart step, renamed canonically."""
     step = _detach_step_renaming_apart(major, minor)
     return None if step is None else canonical_rename(step[0])
 

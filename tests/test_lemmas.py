@@ -161,6 +161,22 @@ def test_lemma6_rejects_word_mismatch():
         build_chain_lemma6(H, code_word(H, "a").members[0], code_word(H, "b").members[0])
 
 
+def test_lemma6_chain_budget_is_inclusive(monkeypatch):
+    # One letter up to length 4 makes 1 + 1 + 4 + 25 = 31 chains.
+    monkeypatch.setattr(lemmas, "_LEMMA6_MAX_CHAINS", 31)
+    report = lemmas._sweep_lemma6(H, 1, 4)
+    assert (report.verdict, report.resources) == ("pass", {"chains": 31})
+    monkeypatch.setattr(lemmas, "_LEMMA6_MAX_CHAINS", 30)
+    report = lemmas._sweep_lemma6(H, 1, 4)
+    assert report.verdict == "inconclusive-budget"
+    assert report.witness == {"reason": "31 chains exceeds budget 30"}
+
+
+def test_lemma7_negative_budget_raises_before_any_chain():
+    with pytest.raises(ValueError, match="max_steps must be nonnegative"):
+        build_run_chain(collatz_system(), H, "aaa", -1)
+
+
 def test_lemma7_with_leftover_tail():
     t = collatz_system()
     chain = build_run_chain(t, H, "aaa", 1)

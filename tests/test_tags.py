@@ -12,6 +12,7 @@ from tagforge.tags import (
     parse_tag_system,
     render_tag_file,
     run_words,
+    tag_path,
     tag_reaches,
     tag_run,
     tag_step,
@@ -111,6 +112,38 @@ def test_run_words_includes_start_and_stops_on_cycle():
     assert words == ["aaa", "abc", "cbc", "caaa"]
 
 
+def test_tag_path_yields_the_word_first():
+    collatz = parse_tag_system(COLLATZ)
+    assert list(tag_path(collatz, "aaa", 0)) == ["aaa"]
+    assert list(tag_path(collatz, "aaa", 3)) == ["aaa", "abc", "cbc", "caaa"]
+
+
+def test_tag_path_stops_at_a_short_word():
+    shrink = parse_tag_system("d=2\na -> b\nb -> b\n")
+    assert list(tag_path(shrink, "aa", 10)) == ["aa", "b"]
+    assert list(tag_path(shrink, "b", 10)) == ["b"]
+    assert list(tag_path(shrink, "", 10)) == [""]
+
+
+def test_tag_path_stops_at_the_budget():
+    # A cycle is not a stop: the path repeats it until the budget ends.
+    loop = parse_tag_system("d=1\na -> a\n")
+    assert list(tag_path(loop, "a", 4)) == ["a"] * 5
+
+
+@pytest.mark.parametrize(
+    "word, budget, error, fragment",
+    [
+        ("aaa", -1, ValueError, "max_steps must be nonnegative"),
+        ("axc", 5, TagSystemError, "outside alphabet"),
+    ],
+)
+def test_tag_path_checks_before_the_first_word(word, budget, error, fragment):
+    path = tag_path(parse_tag_system(COLLATZ), word, budget)
+    with pytest.raises(error, match=fragment):
+        next(path)
+
+
 # --- property tests ----------------------------------------------------------
 
 
@@ -156,3 +189,25 @@ def test_halting_prefix_monotone(tw, budget):
     outcome = tag_run(t, word, budget)
     if isinstance(outcome, Halted):
         assert tag_run(t, word, budget + 7) == outcome
+
+
+def oracle_run(t, word, budget):
+    """The run restated from oracle_step: its words, and whether it halted."""
+    words = [word]
+    for _ in range(budget):
+        nxt = oracle_step(t.productions, t.deletion, words[-1])
+        if nxt is None:
+            break
+        words.append(nxt)
+    return words, len(words[-1]) < t.deletion
+
+
+@given(system_and_word(), st.integers(0, 30))
+def test_runs_match_the_oracle(tw, budget):
+    t, word = tw
+    words, halted = oracle_run(t, word, budget)
+    steps = len(words) - 1
+    expected = Halted(words[-1], steps) if halted else BudgetExhausted(words[-1])
+    assert tag_run(t, word, budget) == expected
+    first_repeat = next((i for i, w in enumerate(words) if w in words[:i]), len(words))
+    assert run_words(t, word, budget) == words[:first_repeat]
