@@ -632,13 +632,9 @@ def run_lemma(lemma_id: str, options: dict | None = None) -> list[LemmaReport]:
         ]
     if lemma_id == "lemma11":
         budget = opts.get("budget", 4)
-        if "system" in opts:
-            word = opts.get("input_word", "aa")
-            return [check_halting_equivalence(system, p0, word, budget)]
-        return [
-            check_halting_equivalence(shrinking_system(), p0, "aa", budget),
-            check_halting_equivalence(growing_system(), p0, "aa", budget),
-        ]
+        word = opts.get("input_word", "aa")
+        systems = [system] if "system" in opts else [shrinking_system(), growing_system()]
+        return [check_halting_equivalence(t, p0, word, budget) for t in systems]
     if lemma_id == "lemma12":
         return [check_inclusion(system, hat)]
     raise ValueError(f"unknown lemma id: {lemma_id!r}")

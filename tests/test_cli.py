@@ -203,6 +203,17 @@ def test_verify_lemma3_flags(capsys):
     assert report["resources"]["formulas"] == 6
 
 
+def test_verify_lemma11_reads_input_without_system(capsys):
+    # Without --system the built-in systems run on --input, whose default is aa.
+    assert main(["verify", "lemma11", "--input", "aa"]) == 0
+    given = capsys.readouterr().out
+    assert main(["verify", "lemma11"]) == 0
+    assert given == capsys.readouterr().out
+    assert main(["verify", "lemma11", "--input", "aaa"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["instance"].split()[1] for r in reports] == ["input='aaa'"] * 2
+
+
 def test_verify_lemma11_writes_witnesses(capsys, tmp_path):
     outdir = str(tmp_path / "wit")
     code = main(["verify", "lemma11", "--budget", "4", "--output", outdir])
@@ -331,8 +342,8 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-# An empty option is an error, not the default instance: each of these
-# printed `pass` for a built-in input, system or target calculus.
+# An empty or unread option is an error, not the default instance: each of
+# these printed `pass` for a built-in input, system or target calculus.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -342,6 +353,7 @@ def _limit_address_space():
         ["lemma11", "--p0", ""],
         ["lemma7", "--budget", "-1"],
         ["lemma11", "--budget", "-1"],
+        ["lemma11", "--input", "abc"],
     ],
     ids=[
         "lemma7-empty-input",
@@ -350,6 +362,7 @@ def _limit_address_space():
         "lemma11-empty-p0",
         "lemma7-negative-budget",
         "lemma11-negative-budget",
+        "lemma11-input-outside-alphabet",
     ],
 )
 def test_verify_bad_option_exit_1(capsys, argv):

@@ -2,8 +2,13 @@
 unification laws."""
 
 import gc
+import os
+import re
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +39,50 @@ p = parse_formula
 
 
 # --- reference oracles: the kernel walks that node facts and shared-subterm
-# rendering replaced -------------------------------------------------------
+# rendering replaced, and the parser that bounded token pieces replaced ----
+
+
+def _skip_ws(text, i):
+    while i < len(text) and text[i].isspace():
+        i += 1
+    return i
+
+
+def _parse_reference(text):
+    """The `parse_formula` that read its text one character at a time."""
+    n = len(text)
+    chains = [[]]
+    i = 0
+    while True:
+        i = _skip_ws(text, i)
+        if i >= n:
+            raise FormulaSyntaxError("formula expected", i)
+        if text[i] == "(":
+            chains.append([])
+            i += 1
+            continue
+        m = formulas._IDENT.match(text, i)
+        if m is None:
+            raise FormulaSyntaxError("identifier or '(' expected", i)
+        atom = Var(m.group())
+        i = m.end()
+        while True:
+            chains[-1].append(atom)
+            i = _skip_ws(text, i)
+            if text.startswith("->", i):
+                i += 2
+                break
+            chain = chains.pop()
+            atom = chain.pop()
+            while chain:
+                atom = Imp(chain.pop(), atom)
+            if not chains:
+                if i != n:
+                    raise FormulaSyntaxError("unexpected trailing input", i)
+                return atom
+            if i >= n or text[i] != ")":
+                raise FormulaSyntaxError("')' expected", i)
+            i += 1
 
 
 def _variables_walk(f):
@@ -396,6 +444,133 @@ def test_canonical_rename_alpha_invariant(f):
 @given(_formulas, _formulas)
 def test_canonical_forms_decide_alpha_equality(a, b):
     assert alpha_equal(a, b) == (canonical_rename(a) == canonical_rename(b))
+
+
+# --- parse_formula: bounded token pieces against the character reader -------
+
+
+def _parse_outcome(parse, text):
+    """The node parse returns, or the message and position of its error."""
+    try:
+        return parse(text)
+    except FormulaSyntaxError as e:
+        return str(e), e.position
+
+
+def _assert_parses_like_reference(text):
+    got, want = _parse_outcome(parse_formula, text), _parse_outcome(_parse_reference, text)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got is want
+
+
+_spaces = st.text(alphabet=" \t\n\u00a0", max_size=3)
+
+
+@st.composite
+def _spaced_texts(draw):
+    """A rendered formula with random whitespace around each token."""
+    tokens = re.findall(r"->|[()]|\w+", render_formula(draw(_formulas)))
+    return draw(_spaces) + "".join(token + draw(_spaces) for token in tokens)
+
+
+# Piece sizes of a few characters put a cut next to nearly every token.
+_piece_sizes = st.sampled_from([1, 2, 3, 7, formulas._PIECE])
+
+
+@settings(max_examples=300)
+@given(_spaced_texts() | st.text(alphabet="()->_xyzX1é \t\n\u00a0", max_size=40), _piece_sizes)
+def test_parse_matches_reference(text, piece):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(formulas, "_PIECE", piece)
+        _assert_parses_like_reference(text)
+
+
+def _text_at(at, rest):
+    """A formula text in which `rest` starts at offset `at`: a chain of
+    implications, then `rest`."""
+    q = (at - 5) // 6
+    return "ab -> " * q + "c" * (at - 4 - 6 * q) + " -> " + rest
+
+
+# The offset at which the first piece would end if it were not moved to
+# just after a delimiter.
+_CUT = formulas._PIECE
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        _text_at(_CUT - 3, "straddle -> z"),
+        _text_at(_CUT - 2, "w -> z"),
+        _text_at(_CUT - 2, "w->z"),
+        _text_at(_CUT - 1, "w->z"),
+        _text_at(_CUT - 2, "w \t\n\u00a0  -> z"),
+        _text_at(_CUT - 2, "w->(z -> " * 3 + "z)" * 3),
+        _text_at(100, "q" * 70_000 + " -> z"),
+        "v" * 70_000,
+        _text_at(_CUT + 10, "X"),
+        _text_at(_CUT - 2, "w - > z"),
+        _text_at(_CUT - 1, "(w -> z"),
+        _text_at(2 * _CUT + 5, "w) -> z"),
+    ],
+    ids=[
+        "identifier",
+        "arrow",
+        "arrow-ends-at-cut",
+        "arrow-at-cut",
+        "whitespace-run",
+        "parentheses",
+        "no-delimiter-piece",
+        "one-identifier",
+        "error-in-second-piece",
+        "split-arrow",
+        "open-parenthesis",
+        "error-in-third-piece",
+    ],
+)
+def test_parse_across_piece_cuts(text):
+    assert len(text) > _CUT
+    _assert_parses_like_reference(text)
+
+
+_PARSE_RSS = """
+import resource
+from tagforge.formulas import Imp, parse_formula, render_formula, rendered_length
+from tagforge.lemmas import WEAKENING_CALCULUS, collatz_system
+from tagforge.reduction import build_reduction
+
+axiom = max(build_reduction(collatz_system(), WEAKENING_CALCULUS, "aaa").groups["T1"],
+            key=rendered_length)
+copies = 10_000_000 // rendered_length(axiom)
+text = " -> ".join(["(" + render_formula(axiom) + ")"] * copies)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+f = parse_formula(text)
+grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+for _ in range(copies - 1):
+    assert type(f) is Imp and f.left is axiom
+    f = f.right
+assert f is axiom
+print(len(text), grew)
+"""
+
+
+def test_parse_ten_megabytes_in_bounded_memory():
+    # Tokenizing the whole text at once held about 13 bytes per character.
+    src = str(Path(formulas.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PARSE_RSS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    chars, grew_kb = map(int, proc.stdout.split())
+    assert chars > 9_900_000
+    assert grew_kb < 20 * 1024
 
 
 # --- node facts and shared-subterm rendering --------------------------------
