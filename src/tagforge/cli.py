@@ -23,7 +23,7 @@ from .engine import (
     trace_to_json,
 )
 from .formulas import parse_formula, render_formula, rendered_length
-from .lemmas import WEAKENING_CALCULUS, LemmaReport, run_lemma
+from .lemmas import LEMMA_OPTIONS, WEAKENING_CALCULUS, LemmaReport, run_lemma, unread_options
 from .reduction import build_reduction, bundle_to_json
 from .tags import Halted, parse_tag_system, tag_reaches, tag_run
 
@@ -113,18 +113,22 @@ def _build_parser() -> argparse.ArgumentParser:
     for cmd in (enc, run, reach, red, der, chk):
         cmd.add_argument("--format", choices=("text", "json"), default="json")
 
-    ver = sub.add_parser("verify", help="run the lemma suite", formatter_class=fmt)
-    ver.add_argument("lemma", help="lemma id (lemma1, lemma3, lemma6, lemma7, lemma9, lemma11, lemma12) or 'all'")
-    ver.add_argument("--hat", default="x")
-    ver.add_argument("--alphabet", type=int, help="alphabet size for sweeps")
-    ver.add_argument("--max-len", type=int, help="max word length for sweeps")
-    ver.add_argument("--system", help="path to a tag file (default: built-in examples)")
-    ver.add_argument("--input", help="input word")
-    ver.add_argument("--p0", help="path to a calculus JSON")
-    ver.add_argument("--budget", type=int, help="tag-run step budget (lemma7, lemma11); also the closure depth of lemma11's non-halting check")
-    ver.add_argument("--depth", type=int, help="closure depth for structure checks")
+    ver = sub.add_parser("verify", help="run the lemma suite")
+    ver.add_argument("lemma", choices=[*LEMMA_OPTIONS, "all"], help="lemma id")
+    # Each option's `dest` is its key in lemmas.LEMMA_OPTIONS, whose defaults
+    # are the only ones.
+    options = [
+        ver.add_argument("--hat", help="one-variable template"),
+        ver.add_argument("--alphabet", dest="alphabet_size", metavar="ALPHABET", type=int, help="alphabet size for sweeps"),
+        ver.add_argument("--max-len", type=int, help="max word length for sweeps"),
+        ver.add_argument("--system", help="path to a tag file (default: built-in examples)"),
+        ver.add_argument("--input", dest="input_word", metavar="INPUT", help="input word"),
+        ver.add_argument("--p0", help="path to a calculus JSON"),
+        ver.add_argument("--budget", type=int, help="tag-run step budget (lemma7, lemma11); also the closure depth of lemma11's non-halting check"),
+        ver.add_argument("--depth", type=int, help="closure depth for structure checks"),
+    ]
     ver.add_argument("--output", help="directory for witness files")
-    ver.set_defaults(handler=_cmd_verify)
+    ver.set_defaults(handler=_cmd_verify, flags={a.dest: a.option_strings[0] for a in options})
     return parser
 
 
@@ -222,16 +226,6 @@ def _cmd_check_trace(args) -> int:
     return 0 if valid else 1
 
 
-def _report_to_json(report: LemmaReport) -> dict:
-    return {
-        "lemma": report.lemma,
-        "instance": report.instance,
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "resources": report.resources,
-    }
-
-
 def _dump_artifacts(report: LemmaReport, directory: str, index: int) -> list[str]:
     written = []
     os.makedirs(directory, exist_ok=True)
@@ -244,21 +238,14 @@ def _dump_artifacts(report: LemmaReport, directory: str, index: int) -> list[str
 
 
 def _cmd_verify(args) -> int:
-    options: dict = {"hat": HatTemplate.from_text(args.hat)}
-    if args.alphabet is not None:
-        options["alphabet_size"] = args.alphabet
-    if args.max_len is not None:
-        options["max_len"] = args.max_len
-    if args.system is not None:
-        options["system"] = _load_system(args.system)
-    if args.input is not None:
-        options["input_word"] = args.input
-    if args.p0 is not None:
-        options["p0"] = load_calculus(args.p0)
-    if args.budget is not None:
-        options["budget"] = args.budget
-    if args.depth is not None:
-        options["depth"] = args.depth
+    given = {k: v for k, v in vars(args).items() if k in args.flags and v is not None}
+    # An unread option is a usage error, found before any file is opened.
+    unread = unread_options(args.lemma, given)
+    if unread:
+        print(f"error: {args.lemma} does not read {', '.join(args.flags[k] for k in unread)}", file=sys.stderr)
+        return 2
+    load = {"hat": HatTemplate.from_text, "system": _load_system, "p0": load_calculus}
+    options = {k: load[k](v) if k in load else v for k, v in given.items()}
     reports = run_lemma(args.lemma, options)
     # Witness files are all written before any report is printed, so a
     # witness that cannot be written leaves stdout empty.
@@ -275,7 +262,7 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"witness traces hold {chars} characters, over {MAX_WITNESS_CHARS}")
         files = {i: _dump_artifacts(r, args.output, i) for i, r in enumerate(reports) if r.artifacts}
     for i, report in enumerate(reports):
-        obj = _report_to_json(report)
+        obj = {k: getattr(report, k) for k in ("lemma", "instance", "verdict", "witness", "resources")}
         if i in files:
             obj["witness_files"] = files[i]
         print(json.dumps(obj, sort_keys=False))

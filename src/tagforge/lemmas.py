@@ -13,7 +13,7 @@ states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .codec import (
     CODE_VARIABLE,
@@ -64,6 +64,7 @@ from .reduction import (
 from .tags import Halted, TagSystem, parse_tag_system, tag_path, tag_run
 
 __all__ = [
+    "LEMMA_OPTIONS",
     "LemmaReport",
     "WEAKENING_AXIOM",
     "WEAKENING_CALCULUS",
@@ -74,6 +75,7 @@ __all__ = [
     "check_lemma1",
     "check_lemma3",
     "check_production",
+    "check_run_chain",
     "collatz_system",
     "enumerate_alphabetic",
     "growing_system",
@@ -81,6 +83,7 @@ __all__ = [
     "run_lemma",
     "shrinking_system",
     "system_label",
+    "unread_options",
 ]
 
 WEAKENING_AXIOM = parse_formula("x -> y -> x")
@@ -178,18 +181,16 @@ def check_lemma3(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaRepor
     """No two distinct code members are unifiable (on variable-disjoint
     copies; all members share the code variable p)."""
     _check_sweep_bounds(alphabet_size, max_len)
-    # The budget is checked before any member is built: an n-letter word
-    # has catalan(n - 1) bracketings, so the count has a closed form.
-    n = sum(alphabet_size**k * catalan(k - 1) for k in range(1, max_len + 1))
-    pairs = n * (n - 1) // 2
     instance = f"hat={h.text} alphabet={alphabet_size} max_len={max_len}"
-    if pairs > _LEMMA3_MAX_PAIRS:
-        return LemmaReport(
-            "lemma3",
-            instance,
-            "inconclusive-budget",
-            {"reason": f"{pairs} pairs exceeds budget {_LEMMA3_MAX_PAIRS}"},
-        )
+    # The budget is checked before any member is built (an n-letter word has
+    # catalan(n - 1) bracketings), up to the first length that passes it.
+    n = 0
+    for length in range(1, max_len + 1):
+        n += alphabet_size**length * catalan(length - 1)
+        pairs = n * (n - 1) // 2
+        if pairs > _LEMMA3_MAX_PAIRS:
+            reason = f"{pairs} pairs up to length {length} exceeds budget {_LEMMA3_MAX_PAIRS}"
+            return LemmaReport("lemma3", instance, "inconclusive-budget", {"reason": reason})
     members = enumerate_alphabetic(h, alphabet_size, max_len)
     forms = [m.formula for m in members]
     renamed = [rename_apart(f, {CODE_VARIABLE}) for f in forms]
@@ -407,6 +408,21 @@ def build_run_chain(
     return ChainProof.concat(chains)
 
 
+def check_run_chain(t: TagSystem, h: HatTemplate, word: str, max_steps: int) -> LemmaReport:
+    """The run chain from `word` passes chain_check against the production
+    calculus.  Waypoint formulas can be astronomically large as text, so the
+    witness carries the decoded words instead."""
+    chain = build_run_chain(t, h, word, max_steps)
+    verdict = "pass" if chain_check(build_PT(t, h), chain) else "fail"
+    words: list[str] = []
+    for w in chain.waypoints:
+        parsed = decode(h, w)
+        if parsed is not None and (not words or words[-1] != parsed.word):
+            words.append(parsed.word)
+    instance = f"tag={system_label(t)} input={word!r} budget={max_steps}"
+    return LemmaReport("lemma7", instance, verdict, {"links": len(chain.links), "words": words})
+
+
 # --- closure characterization ----------------------------------------------
 
 
@@ -577,67 +593,59 @@ def check_inclusion(t: TagSystem, h: HatTemplate) -> LemmaReport:
 # --- CLI dispatch -------------------------------------------------------------
 
 
+# The options each suite item reads, in suite order, with their defaults.  A
+# `system` of None is the item's built-in tag system (lemma11 has two).
+LEMMA_OPTIONS: dict[str, dict] = {
+    "lemma1": {},
+    "lemma3": {"hat": DEFAULT_HAT, "alphabet_size": 3, "max_len": 4},
+    "lemma6": {"hat": DEFAULT_HAT, "alphabet_size": 2, "max_len": 4},
+    "lemma7": {"hat": DEFAULT_HAT, "system": None, "input_word": "aaa", "budget": 50},
+    "lemma9": {"hat": DEFAULT_HAT, "system": None, "p0": WEAKENING_CALCULUS,
+               "input_word": "aaa", "depth": 2},
+    "lemma11": {"system": None, "p0": WEAKENING_CALCULUS, "input_word": "aa", "budget": 4},
+    "lemma12": {"hat": DEFAULT_HAT, "system": None},
+}
+
+
+def unread_options(lemma_id: str, keys: Iterable[str]) -> list[str]:
+    """The option keys, in the order given, that the suite item does not
+    read; "all" reads every key that some item reads."""
+    if lemma_id != "all" and lemma_id not in LEMMA_OPTIONS:
+        raise ValueError(f"unknown lemma id: {lemma_id!r}")
+    tables = LEMMA_OPTIONS.values() if lemma_id == "all" else [LEMMA_OPTIONS[lemma_id]]
+    return [key for key in keys if not any(key in table for table in tables)]
+
+
 def run_lemma(lemma_id: str, options: dict | None = None) -> list[LemmaReport]:
-    """Run one suite item (or all) with CLI-friendly defaults."""
-    opts = options or {}
-    hat = opts.get("hat", DEFAULT_HAT)
-    system = opts.get("system") or collatz_system()
-    p0 = opts.get("p0") or WEAKENING_CALCULUS
+    """Run one suite item, or all of them, with the given options over the
+    item's defaults in LEMMA_OPTIONS.  An option that the item does not read
+    is a ValueError; under "all" each item gets the options it reads."""
+    given = options or {}
+    unread = unread_options(lemma_id, given)
+    if unread:
+        raise ValueError(f"{lemma_id} does not read {', '.join(unread)}")
     if lemma_id == "all":
-        out: list[LemmaReport] = []
-        for name in ("lemma1", "lemma3", "lemma6", "lemma7", "lemma9", "lemma11", "lemma12"):
-            out.extend(run_lemma(name, options))
-        return out
+        return [report for name, read in LEMMA_OPTIONS.items()
+                for report in run_lemma(name, {k: v for k, v in given.items() if k in read})]
+    opts = {**LEMMA_OPTIONS[lemma_id], **given}
     if lemma_id == "lemma1":
-        return [
-            check_lemma1(HatTemplate.from_text(text))
-            for text in ("x", "x -> x", "x -> (x -> x)")
-        ]
+        return [check_lemma1(HatTemplate.from_text(t)) for t in ("x", "x -> x", "x -> (x -> x)")]
     if lemma_id == "lemma3":
-        return [
-            check_lemma3(
-                hat,
-                opts.get("alphabet_size", 3),
-                opts.get("max_len", 4),
-            )
-        ]
+        return [check_lemma3(opts["hat"], opts["alphabet_size"], opts["max_len"])]
     if lemma_id == "lemma6":
-        return [_sweep_lemma6(hat, opts.get("alphabet_size", 2), opts.get("max_len", 4))]
+        return [_sweep_lemma6(opts["hat"], opts["alphabet_size"], opts["max_len"])]
     if lemma_id == "lemma7":
-        word = opts.get("input_word", "aaa")
-        budget = opts.get("budget", 50)
-        chain = build_run_chain(system, hat, word, budget)
-        calc = build_PT(system, hat)
-        ok = chain_check(calc, chain)
-        # Waypoint formulas can be astronomically large as text, so the
-        # reported witness carries the decoded words instead.
-        words: list[str] = []
-        for w in chain.waypoints:
-            parsed = decode(hat, w)
-            if parsed is not None and (not words or words[-1] != parsed.word):
-                words.append(parsed.word)
-        return [
-            LemmaReport(
-                "lemma7",
-                f"tag={system_label(system)} input={word!r} budget={budget}",
-                "pass" if ok else "fail",
-                {"links": len(chain.links), "words": words},
-            )
-        ]
+        system = opts["system"] or collatz_system()
+        return [check_run_chain(system, opts["hat"], opts["input_word"], opts["budget"])]
     if lemma_id == "lemma9":
-        return [
-            check_production(
-                system, p0, hat, opts.get("input_word", "aaa"), opts.get("depth", 2)
-            )
-        ]
+        system = opts["system"] or collatz_system()
+        return [check_production(system, opts["p0"], opts["hat"], opts["input_word"], opts["depth"])]
     if lemma_id == "lemma11":
-        budget = opts.get("budget", 4)
-        word = opts.get("input_word", "aa")
-        systems = [system] if "system" in opts else [shrinking_system(), growing_system()]
-        return [check_halting_equivalence(t, p0, word, budget) for t in systems]
-    if lemma_id == "lemma12":
-        return [check_inclusion(system, hat)]
-    raise ValueError(f"unknown lemma id: {lemma_id!r}")
+        systems = [opts["system"]] if opts["system"] else [shrinking_system(), growing_system()]
+        return [check_halting_equivalence(t, opts["p0"], opts["input_word"], opts["budget"])
+                for t in systems]
+    # lemma12
+    return [check_inclusion(opts["system"] or collatz_system(), opts["hat"])]
 
 
 # The lemma 6 sweep checks at most this many chains.  The largest sweep in
@@ -648,12 +656,13 @@ _LEMMA6_MAX_CHAINS = 10_000
 def _sweep_lemma6(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaReport:
     _check_sweep_bounds(alphabet_size, max_len)
     instance = f"hat={h.text} alphabet={alphabet_size} max_len={max_len}"
-    # As in lemma 3, the budget is checked before any chain is built: one
-    # chain for each ordered pair of a k-letter word's catalan(k - 1) members.
-    chains = sum(alphabet_size**k * catalan(k - 1) ** 2 for k in range(1, max_len + 1))
-    if chains > _LEMMA6_MAX_CHAINS:
-        reason = f"{chains} chains exceeds budget {_LEMMA6_MAX_CHAINS}"
-        return LemmaReport("lemma6", instance, "inconclusive-budget", {"reason": reason})
+    # As in lemma 3: one chain for each ordered pair of a word's members.
+    chains = 0
+    for length in range(1, max_len + 1):
+        chains += alphabet_size**length * catalan(length - 1) ** 2
+        if chains > _LEMMA6_MAX_CHAINS:
+            reason = f"{chains} chains up to length {length} exceeds budget {_LEMMA6_MAX_CHAINS}"
+            return LemmaReport("lemma6", instance, "inconclusive-budget", {"reason": reason})
     calc = rebracketing_calculus(h)
     index = _axiom_index(calc)
     for word in _sweep_words(alphabet_size, max_len):

@@ -14,6 +14,7 @@ import pytest
 import tagforge
 from tagforge.cli import _emit, main
 from tagforge.engine import load_calculus
+from tagforge.lemmas import LEMMA_OPTIONS
 from tagforge.reduction import build_reduction, bundle_to_json
 from tagforge.tags import parse_tag_system
 
@@ -380,7 +381,7 @@ def test_verify_lemma6_budget_checked_before_any_chain(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert report["verdict"] == "inconclusive-budget"
-    assert report["witness"] == {"reason": "547267673966 chains exceeds budget 10000"}
+    assert report["witness"] == {"reason": "71006 chains up to length 3 exceeds budget 10000"}
 
 
 def test_verify_lemma3_budget_checked_before_enumeration():
@@ -399,7 +400,79 @@ def test_verify_lemma3_budget_checked_before_enumeration():
     assert (proc.returncode, proc.stderr) == (0, "")
     report = json.loads(proc.stdout)
     assert report["verdict"] == "inconclusive-budget"
-    assert report["witness"] == {"reason": "2692901989011 pairs exceeds budget 2000000"}
+    assert report["witness"] == {"reason": "642736731 pairs up to length 3 exceeds budget 2000000"}
+
+
+# Each verify option's key in LEMMA_OPTIONS, with a valid value for it.
+VERIFY_OPTIONS = {
+    "--hat": ("hat", "x -> x"),
+    "--alphabet": ("alphabet_size", "2"),
+    "--max-len": ("max_len", "2"),
+    "--system": ("system", "{tag}"),
+    "--input": ("input_word", "aa"),
+    "--p0": ("p0", "{calc}"),
+    "--budget": ("budget", "3"),
+    "--depth": ("depth", "1"),
+}
+UNREAD_PAIRS = [
+    (lemma, flag)
+    for lemma, defaults in LEMMA_OPTIONS.items()
+    for flag, (key, _) in VERIFY_OPTIONS.items()
+    if key not in defaults
+]
+
+
+def test_verify_options_are_the_table_keys():
+    read = {key for defaults in LEMMA_OPTIONS.values() for key in defaults}
+    assert read == {key for key, _ in VERIFY_OPTIONS.values()}
+    assert len(UNREAD_PAIRS) == 35
+
+
+@pytest.mark.parametrize(
+    "lemma, flag", UNREAD_PAIRS, ids=[f"{lemma}{flag}" for lemma, flag in UNREAD_PAIRS]
+)
+def test_verify_unread_option_exit_2(capsys, tagfile, calcfile, lemma, flag):
+    # Each of these used to run the default instance as if the flag were not given.
+    value = VERIFY_OPTIONS[flag][1].format(tag=tagfile, calc=calcfile)
+    assert main(["verify", lemma, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {lemma} does not read {flag}\n"
+
+
+def test_verify_unread_option_opens_no_file(capsys):
+    # lemma3 reads no tag system, so the path is rejected before it is opened.
+    assert main(["verify", "lemma3", "--system", "/does/not/exist"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lemma3 does not read --system\n"
+
+
+def test_verify_unknown_lemma_exit_2(capsys):
+    assert main(["verify", "lemma99"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_all_passes_an_option_to_the_lemmas_that_read_it(capsys):
+    assert main(["verify", "all", "--alphabet", "2"]) == 0
+    reports = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["lemma"] for r in reports] == [
+        "lemma1", "lemma1", "lemma1", "lemma3", "lemma6", "lemma7", "lemma9",
+        "lemma11", "lemma11", "lemma12",
+    ]
+    assert reports[3]["instance"] == "hat=x alphabet=2 max_len=4"
+    assert reports[4]["instance"] == "hat=x alphabet=2 max_len=4"
+
+
+@pytest.mark.parametrize("lemma", ["lemma3", "lemma6"])
+def test_verify_sweep_count_stops_at_the_budget(capsys, lemma):
+    # The full count at 20,000 letters has tens of thousands of digits: lemma 3
+    # was still summing it after 120 s.
+    start = time.perf_counter()
+    code, report = run_json(capsys, ["verify", lemma, "--max-len", "20000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["verdict"] == "inconclusive-budget"
 
 
 def test_text_format(capsys, tagfile):

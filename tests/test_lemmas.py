@@ -169,7 +169,7 @@ def test_lemma6_chain_budget_is_inclusive(monkeypatch):
     monkeypatch.setattr(lemmas, "_LEMMA6_MAX_CHAINS", 30)
     report = lemmas._sweep_lemma6(H, 1, 4)
     assert report.verdict == "inconclusive-budget"
-    assert report.witness == {"reason": "31 chains exceeds budget 30"}
+    assert report.witness == {"reason": "31 chains up to length 4 exceeds budget 30"}
 
 
 def test_lemma7_negative_budget_raises_before_any_chain():
@@ -583,6 +583,11 @@ def test_run_lemma_dispatch():
     assert [r.verdict for r in reports] == ["pass"] * 3
     with pytest.raises(ValueError):
         run_lemma("lemma99")
+    # An option that the lemma does not read is an error, not ignored.
+    with pytest.raises(ValueError, match="lemma1 does not read hat"):
+        run_lemma("lemma1", {"hat": DEFAULT_HAT})
+    with pytest.raises(ValueError, match="all does not read output"):
+        run_lemma("all", {"alphabet_size": 2, "output": "x"})
     out = run_lemma("lemma7", {"budget": 50})
     assert out[0].verdict == "pass"
     assert out[0].witness["words"][0] == "aaa"
