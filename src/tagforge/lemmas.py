@@ -177,9 +177,34 @@ def enumerate_alphabetic(
 _LEMMA3_MAX_PAIRS = 2_000_000
 
 
+def _first_unifiable(f: Imp, later: list[Imp]) -> int | None:
+    """Index of the first of `later` that unifies with f, or None; none of
+    `later` may share a variable with f.
+
+    Any unifier of two implications also unifies their left halves and their
+    right halves, so a pair whose left or right halves do not unify is
+    decided by that, and only the rest are unified whole.  Each distinct half
+    in `later` is unified with f's half at its position once."""
+    lefts: dict[Formula, bool] = {}
+    rights: dict[Formula, bool] = {}
+    for j, g in enumerate(later):
+        left = lefts.get(g.left)
+        if left is None:
+            left = lefts[g.left] = unify(f.left, g.left) is not None
+        if not left:
+            continue
+        right = rights.get(g.right)
+        if right is None:
+            right = rights[g.right] = unify(f.right, g.right) is not None
+        if right and unify(f, g) is not None:
+            return j
+    return None
+
+
 def check_lemma3(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaReport:
     """No two distinct code members are unifiable (on variable-disjoint
-    copies; all members share the code variable p)."""
+    copies; all members share the code variable p).  Every pair is decided,
+    row by row; each member is an implication, as every circ is."""
     _check_sweep_bounds(alphabet_size, max_len)
     instance = f"hat={h.text} alphabet={alphabet_size} max_len={max_len}"
     # The budget is checked before any member is built (an n-letter word has
@@ -195,19 +220,19 @@ def check_lemma3(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaRepor
     forms = [m.formula for m in members]
     renamed = [rename_apart(f, {CODE_VARIABLE}) for f in forms]
     for i in range(n):
-        fi = forms[i]
-        for j in range(i + 1, n):
-            if unify(fi, renamed[j]) is not None:
-                return LemmaReport(
-                    "lemma3",
-                    instance,
-                    "fail",
-                    {
-                        "left": render_formula(fi),
-                        "right": render_formula(forms[j]),
-                        "words": [members[i].word, members[j].word],
-                    },
-                )
+        j = _first_unifiable(forms[i], renamed[i + 1 :])
+        if j is not None:
+            j += i + 1
+            return LemmaReport(
+                "lemma3",
+                instance,
+                "fail",
+                {
+                    "left": render_formula(forms[i]),
+                    "right": render_formula(forms[j]),
+                    "words": [members[i].word, members[j].word],
+                },
+            )
     return LemmaReport(
         "lemma3", instance, "pass", {}, {"formulas": n, "pairs": pairs}
     )

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagforge import engine, lemmas
-from tagforge.codec import DEFAULT_HAT, HatTemplate, code_word, decode, right_nested
+from tagforge.codec import CODE_VARIABLE, DEFAULT_HAT, HatTemplate, code_word, decode, right_nested
 from tagforge.engine import (
     AxiomStep,
     Calculus,
@@ -24,6 +24,7 @@ from tagforge.engine import (
 )
 from tagforge.formulas import (
     Imp,
+    Var,
     apply_substitution,
     match_instance,
     parse_formula,
@@ -111,6 +112,80 @@ def test_duplicate_pair_is_unifiable():
     member = code_word(H, "ab").formulas[0]
     fresh = rename_apart(member, set(variables(member)))
     assert unify(member, fresh) is not None
+
+
+def _lemma3_all_pairs(h, alphabet_size, max_len):
+    """The all-pairs sweep that check_lemma3's half-pair memo replaced: the
+    fail witness of the first unifiable pair in (i, j) order, or None."""
+    members = lemmas.enumerate_alphabetic(h, alphabet_size, max_len)
+    forms = [m.formula for m in members]
+    renamed = [rename_apart(f, {CODE_VARIABLE}) for f in forms]
+    for i in range(len(forms)):
+        for j in range(i + 1, len(forms)):
+            if unify(forms[i], renamed[j]) is not None:
+                return {
+                    "left": render_formula(forms[i]),
+                    "right": render_formula(forms[j]),
+                    "words": [members[i].word, members[j].word],
+                }
+    return None
+
+
+# Subterms over p, q and r, to depth 2, shared by the drawn formulas so that
+# halves repeat within a row and pairs both unify and fail (occurs check).
+_ATOMS = [Var("p"), Var("q"), Var("r")]
+_DEPTH1 = [Imp(a, b) for a in _ATOMS for b in _ATOMS]
+_POOL = _ATOMS + _DEPTH1 + [Imp(a, b) for a in _ATOMS for b in _DEPTH1[:4]]
+_pool_imp = st.builds(Imp, st.sampled_from(_POOL), st.sampled_from(_POOL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pool_imp, st.lists(_pool_imp, min_size=1, max_size=8))
+def test_first_unifiable_matches_unify(s, ts):
+    later = [rename_apart(t, set(variables(s))) for t in ts]
+    expected = next((j for j, t in enumerate(later) if unify(s, t) is not None), None)
+    assert lemmas._first_unifiable(s, later) == expected
+
+
+@pytest.mark.parametrize("text", ["x", "x -> x", "x -> (x -> x)"])
+def test_first_unifiable_on_code_member_pairs(text):
+    forms = [m.formula for m in enumerate_alphabetic(HatTemplate.from_text(text), 2, 3)]
+    decided = {True: 0, False: 0}
+    for s in forms:
+        for t in forms:
+            fresh = rename_apart(t, set(variables(s)))
+            unifiable = lemmas._first_unifiable(s, [fresh]) == 0
+            assert unifiable == (unify(s, fresh) is not None)
+            decided[unifiable] += 1
+    # A member unifies only with itself.
+    assert decided == {True: len(forms), False: len(forms) * (len(forms) - 1)}
+
+
+@pytest.mark.parametrize("source,target", [(0, -1), (3, 4)])
+def test_lemma3_fail_report_matches_all_pairs(monkeypatch, source, target):
+    members = enumerate_alphabetic(H, 2, 3)
+    patched = list(members)
+    patched[target] = dataclasses.replace(members[target], formula=members[source].formula)
+    monkeypatch.setattr(lemmas, "enumerate_alphabetic", lambda h, a, n: patched)
+    report = check_lemma3(H, 2, 3)
+    assert report.verdict == "fail"
+    assert report.witness == _lemma3_all_pairs(H, 2, 3)
+    assert report.witness["words"] == [members[source].word, members[target].word]
+
+
+def test_lemma3_unification_count(monkeypatch):
+    calls = []
+
+    def counting_unify(a, b):
+        calls.append(None)
+        return unify(a, b)
+
+    monkeypatch.setattr(lemmas, "unify", counting_unify)
+    report = check_lemma3(H, 3, 4)
+    assert report.verdict == "pass"
+    assert report.resources == {"formulas": 471, "pairs": 110685}
+    # Every one of the 110,685 pairs was unified whole before the memo.
+    assert len(calls) <= 36_000
 
 
 def test_lemma6_single_rotation():
