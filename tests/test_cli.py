@@ -303,6 +303,20 @@ def test_verify_lemma9_cap_overflow_exits_0(capsys, monkeypatch):
     }
 
 
+@pytest.mark.parametrize("cap", ["abc", "1e3", "0", "-1"])
+def test_bad_generator_cap_exit_1(capsys, monkeypatch, calcfile, cap):
+    # int() read "abc" with a message that did not name the variable, and
+    # took 0 and -1, so the closure failed at level 0 with "cap -1".
+    monkeypatch.setenv("TAGFORGE_GENERATOR_CAP", cap)
+    argv = ["derive", "--calculus", calcfile, "--goal", "x -> y -> x", "--depth", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: TAGFORGE_GENERATOR_CAP must be a positive integer, not {cap!r}\n"
+    )
+
+
 def test_usage_error_exit_2(capsys):
     assert main([]) == 2
     assert main(["tag"]) == 2

@@ -1,6 +1,9 @@
 """Engine tests: condensed detachment, closure levels, traces, chains, and
 the literal-rule oracle that cross-checks the condensed representation."""
 
+from collections import Counter
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +14,11 @@ from tagforge.engine import (
     AxiomStep,
     Calculus,
     ChainProof,
+    ClosureLevel,
     Derivable,
     DerivationTrace,
     DetachStep,
+    Generator,
     GeneratorCapError,
     NotFoundWithinBudget,
     _GeneralisationIndex,
@@ -23,6 +28,7 @@ from tagforge.engine import (
     chain_trace,
     check_trace,
     closure_level,
+    closure_levels,
     derives,
     find_generators,
     naive_closure_oracle,
@@ -525,7 +531,8 @@ def test_condensed_detach_matches_renaming_apart_on_closures(calc, level, unifie
 def test_closure_renames_apart_only_kept_pairs(monkeypatch):
     # Each frontier pair is unified once, and only a kept pair's step is
     # built from its bindings.  Unifying each kept pair a second time to
-    # record its step made 5,750 unifications here.
+    # record its step made 5,750 unifications here; trying every frontier
+    # pair, including those of a spent fixed-consequent major, made 4,900.
     calls = {"_unify_banks": 0, "_detach_step": 0}
     for name in calls:
 
@@ -535,8 +542,94 @@ def test_closure_renames_apart_only_kept_pairs(monkeypatch):
 
         monkeypatch.setattr(engine, name, counting)
     gens = closure_level(Calculus("ks", (K, S)), 4).generators
-    assert calls["_unify_banks"] == 4900
+    assert calls["_unify_banks"] == 3658
     assert calls["_detach_step"] == sum(g.level > 0 for g in gens) == 850
+
+
+def _closure_all_pairs(calc):
+    """Closure levels as `closure_levels` made them before a major whose
+    antecedent and consequent share no variable was spent at its first
+    detaching pair: every frontier pair is tried, and forward subsumption
+    asks the dict-per-node trie `_DictIndex`."""
+    gens = []
+    seen = set()
+    index = _DictIndex()
+
+    def keep(canon):
+        if canon in seen:
+            return False
+        seen.add(canon)
+        if any(match_instance(canon, g) is not None for g in index.candidates(canon)):
+            return False
+        index.add(canon)
+        return True
+
+    for idx, ax in enumerate(calc.axioms):
+        if keep(canonical_rename(ax)):
+            gens.append(Generator(ax, DerivationTrace((AxiomStep(idx, {}, ax),)), 0))
+    yield ClosureLevel(0, tuple(gens))
+    frontier = 0
+    level = 0
+    while True:
+        level += 1
+        size = len(gens)
+        for mi in range(size):
+            for ni in range(frontier if mi < frontier else 0, size):
+                major, minor = gens[mi].trace, gens[ni].trace
+                bound = engine._premise_bindings(major.final, minor.final)
+                if bound is None:
+                    continue
+                canon = engine._canonical_consequent(major.final, bound)
+                if not keep(canon):
+                    continue
+                raw, unifier = engine._detach_step(major.final, minor.final, bound)
+                gens.append(Generator(canon, engine._splice(major, minor, unifier, raw), level))
+        frontier = size
+        yield ClosureLevel(level, tuple(gens))
+
+
+def _assert_same_levels(calc, depth):
+    for want, got in zip(islice(_closure_all_pairs(calc), depth + 1), closure_levels(calc)):
+        assert got.level == want.level
+        assert len(got.generators) == len(want.generators)
+        for g, w in zip(got.generators, want.generators):
+            assert g.formula is w.formula and g.level == w.level
+            assert trace_to_json(g.trace) == trace_to_json(w.trace)
+
+
+_KS = Calculus("ks", (K, S))
+_TB = Calculus("tb", (K, p("(x -> y) -> (y -> z) -> x -> z"), p("((x -> y) -> x) -> x")))
+_KSP = Calculus("ksp", (K, S, p("((x -> y) -> x) -> x")))
+
+
+# The closure workload's calculi at its depths.
+@pytest.mark.parametrize(
+    "calc, depth",
+    [(_KS, 4), (_BCI, 3), (_LUKASIEWICZ, 6), (_TB, 3), (_KSP, 3)],
+    ids=["ks-4", "bci-3", "luk-6", "tb-3", "ksp-3"],
+)
+def test_closure_matches_all_pairs_reference(calc, depth):
+    _assert_same_levels(calc, depth)
+
+
+# Majors whose two sides share no variable, as axioms and as the shapes
+# detachment makes of them.
+_disjoint_sides = st.sampled_from(
+    [p("x -> y -> y"), p("(x -> x) -> y -> y"), p("(x -> y) -> z"), p("x -> (y -> z) -> y")]
+)
+_small = st.recursive(_vars, lambda f: st.builds(Imp, f, f), max_leaves=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_disjoint_sides | _small, min_size=1, max_size=3), st.integers(1, 3))
+def test_closure_with_fixed_consequent_majors_matches_reference(axioms, depth):
+    calc = Calculus("small", tuple(axioms))
+    # Stop before a level grows past a few hundred generators.
+    for lvl in islice(closure_levels(calc), depth + 1):
+        if len(lvl.generators) > 150:
+            depth = lvl.level
+            break
+    _assert_same_levels(calc, depth)
 
 
 class _SkeletonIndex:
@@ -574,6 +667,60 @@ class _SkeletonIndex:
                     todo.append((star, *rest))
             if imp is not None and type(t) is Imp and depth < 4:
                 todo.append((imp, t.left, depth + 1, (t.right, depth + 1, rest)))
+        return out
+
+
+class _DictIndex:
+    """`_GeneralisationIndex` as it was before it kept unshared key tails
+    whole: one dict per inner node, whatever its number of children."""
+
+    def __init__(self):
+        self._root = {}
+
+    def add(self, f):
+        node = self._root
+        numbers = {}
+        todo = [(f, 0)]
+        while todo:
+            t, depth = todo.pop()
+            if type(t) is not Imp:
+                symbol = numbers.setdefault(t, len(numbers))
+            elif depth < 4:
+                symbol = ">"
+                todo.append((t.right, depth + 1))
+                todo.append((t.left, depth + 1))
+            else:
+                symbol = "*"
+            child = node.get(symbol)
+            if child is None:
+                child = node[symbol] = {} if todo else []
+            node = child
+        node.append(f)
+
+    def candidates(self, f):
+        out = []
+        todo = [(self._root, f, None, ())]
+        while todo:
+            node, t, rest, bound = todo.pop()
+            for symbol, child in node.items():
+                if type(symbol) is int:
+                    if symbol == len(bound):
+                        after = (*bound, t)
+                    elif bound[symbol] is t:
+                        after = bound
+                    else:
+                        continue
+                elif type(t) is not Imp:
+                    continue
+                elif symbol == ">":
+                    todo.append((child, t.left, (t.right, rest), bound))
+                    continue
+                else:
+                    after = bound
+                if rest is None:
+                    out.extend(child)
+                else:
+                    todo.append((child, *rest, after))
         return out
 
 
@@ -649,3 +796,65 @@ def test_closure_prunes_subsumption_checks(monkeypatch):
     monkeypatch.setattr(engine, "match_instance", counting)
     assert len(closure_level(Calculus("ks", (K, S)), 4).generators) == 852
     assert calls <= 10_000
+
+
+def _with_last_leaf(f, leaf):
+    """f with its rightmost leaf replaced by `leaf`: a key that leaves f's
+    at its last symbol, or, below the depth bound, f's key again."""
+    if type(f) is Var:
+        return leaf
+    return Imp(f.left, _with_last_leaf(f.right, leaf))
+
+
+@st.composite
+def _trie_contents(draw):
+    """Stored formulas whose keys share long prefixes: each drawn formula
+    with an alpha-variant (the same key) and with its last leaf replaced."""
+    base = draw(st.lists(_deep, min_size=1, max_size=6))
+    out = list(base)
+    for f in base:
+        out.append(rename_apart(f, set(variables(f))))
+        out.append(_with_last_leaf(f, draw(_small)))
+        out.append(_wrap(_with_last_leaf(f, draw(_vars))))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=300)
+@given(
+    _trie_contents(),
+    _deep,
+    st.dictionaries(_names, _deep, max_size=3),
+    st.integers(0, 30),
+)
+def test_index_candidates_match_dict_trie(stored, other, subst, pick):
+    index = _GeneralisationIndex()
+    reference = _DictIndex()
+    for g in stored:
+        index.add(g)
+        reference.add(g)
+    instance = apply_substitution(subst, stored[pick % len(stored)])
+    for f in (other, instance, *stored):
+        assert Counter(index.candidates(f)) == Counter(reference.candidates(f))
+
+
+def test_index_keeps_unshared_tails_whole(monkeypatch):
+    # With one dict per inner node the trie had 3,958 dicts here, 3,468 of
+    # them with a single child.
+    made = []
+
+    class Recorded(_GeneralisationIndex):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(engine, "_GeneralisationIndex", Recorded)
+    closure_level(_KS, 4)
+    dicts, tails, stack = 0, 0, [made[0]._root]
+    while stack:
+        node = stack.pop()
+        if type(node) is dict:
+            dicts += 1
+            stack.extend(node.values())
+        elif type(node) is tuple:
+            tails += 1
+    assert (dicts, tails) == (892, 518)
