@@ -16,10 +16,11 @@ formula is not an instance of never reach `match_instance`; that still
 decides each candidate, so the index changes what the closure costs, not
 what it yields.
 
-Every generator carries a `DerivationTrace` that an independent checker
-(`check_trace`) re-validates using only the term-kernel primitives.  Negative
-answers are always reported as "not found within budget", never as
-underivability.
+Every generator has a `DerivationTrace` that an independent checker
+(`check_trace`) re-validates using only the term-kernel primitives.  The
+closure records each generator's two parents and builds its trace only when
+it is read, so a search that misses builds none.  Negative answers are always
+reported as "not found within budget", never as underivability.
 """
 
 from __future__ import annotations
@@ -117,8 +118,10 @@ class DetachStep:
     `rename_apart`, which is deterministic), the unifier equates the major's
     antecedent with the renamed minor, and result is the unifier applied to
     the major's consequent.  That is what `check_trace` re-derives.
-    `_detach_step` builds it, without a renamed copy, from the bindings that
-    decided the pair detaches, so a step costs no second unification.
+    `_detach_step` builds it, without a renamed copy, from the bank bindings
+    of `_premise_bindings`.  The closure builds no step while it runs: a
+    generator's steps are built from its parents' traces when its trace is
+    first read (`_build_trace`).
     """
 
     major: int
@@ -139,13 +142,50 @@ class DerivationTrace:
         return self.steps[-1].result
 
 
-@dataclass(frozen=True)
 class Generator:
-    """A most-general derivable formula with its evidence."""
+    """A most-general derivable formula with its evidence.
 
-    formula: Formula
-    trace: DerivationTrace
-    level: int
+    A generator is built with its trace, as each axiom's is.  One that
+    `closure_levels` detached records its major and minor parent generators
+    instead, and `trace` builds its `DerivationTrace` the first time it is
+    read (see `_build_trace`), then keeps it.  Equality is over formula,
+    trace and level.
+    """
+
+    __slots__ = ("formula", "level", "_trace", "_major", "_minor")
+
+    def __init__(self, formula: Formula, trace: DerivationTrace, level: int):
+        self.formula = formula
+        self.level = level
+        self._trace: DerivationTrace | None = trace
+        self._major: Generator | None = None
+        self._minor: Generator | None = None
+
+    @classmethod
+    def _detached(
+        cls, formula: Formula, level: int, major: Generator, minor: Generator
+    ) -> Generator:
+        g = cls.__new__(cls)
+        g.formula, g.level, g._trace, g._major, g._minor = formula, level, None, major, minor
+        return g
+
+    @property
+    def trace(self) -> DerivationTrace:
+        if self._trace is None:
+            _build_trace(self)
+        return self._trace
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.formula == other.formula
+            and self.level == other.level
+            and self.trace == other.trace
+        )
+
+    def __repr__(self) -> str:
+        return f"Generator(formula={self.formula!r}, trace={self.trace!r}, level={self.level!r})"
 
 
 @dataclass(frozen=True)
@@ -224,6 +264,31 @@ def _splice(
     steps += _shifted(minor, len(steps))
     steps.append(DetachStep(len(major.steps) - 1, len(steps) - 1, unifier, result))
     return DerivationTrace(tuple(steps))
+
+
+def _build_trace(g: Generator) -> None:
+    """Give g, and each ancestor of g that has no trace yet, its trace: the
+    parents' traces spliced, then the `DetachStep` of the parents' trace
+    finals, unified again by `_premise_bindings`.  That is the step the
+    closure would have built when it kept g, so traces do not depend on
+    when they are read.  Parents are built before children, with an
+    explicit stack: an ancestry may be deeper than Python's recursion
+    limit."""
+    todo = [g]
+    while todo:
+        top = todo[-1]
+        if top._trace is not None:
+            todo.pop()
+            continue
+        major, minor = top._major, top._minor
+        if major._trace is None or minor._trace is None:
+            todo += [p for p in (minor, major) if p._trace is None]
+            continue
+        todo.pop()
+        f, m = major._trace.final, minor._trace.final
+        raw, unifier = _detach_step(f, m, _premise_bindings(f, m))
+        top._trace = _splice(major._trace, minor._trace, unifier, raw)
+        top._major = top._minor = None
 
 
 # Implications at this depth are wildcards in index keys, so a key has at
@@ -374,14 +439,19 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     dropped.  Output order is deterministic: majors then minors in discovery
     order, frontier pairs only.
 
-    Each pair is unified once, by `_premise_bindings`.  Its result is built
-    canonical from the bindings, which is what deduplication and subsumption
-    read, and only a pair whose result is kept has its `DetachStep` built
-    from the same bindings.  A major whose antecedent and consequent share
-    no variable detaches to its consequent whatever the minor, so it is
-    tried only until its first detaching pair, kept or not; every later
-    pair would be a duplicate.  On K+S to level 4 the closure unifies 3,658
-    pairs (4,900 without that) and builds 850 steps.
+    Each pair is unified once, by `_premise_bindings`, on the generators'
+    formulas.  Its result is built canonical from the bindings, which is
+    what deduplication and subsumption read.  A kept result becomes a
+    generator that records its two parents and builds no step: its trace is
+    built only when it is read, and only with its ancestry.  Mgus are unique
+    up to renaming and the canonical result reads only their structure, so
+    unifying a generator's canonical formula instead of its trace's final,
+    which is alpha-equal, gives the same result.  A major whose antecedent
+    and consequent share no variable detaches to its consequent whatever
+    the minor, so it is tried only until its first detaching pair, kept or
+    not; every later pair would be a duplicate.  On K+S to level 4 the
+    closure unifies 3,658 pairs (4,900 without that) and builds no step;
+    reading all 852 traces then builds 850.
 
     The retained generators, earlier levels' and this level's alike, are
     kept in a `_GeneralisationIndex`.  Its candidates are a superset of the
@@ -443,21 +513,18 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
         for mi in range(size):
             if fixed.get(mi):
                 continue
-            # Detach the trace finals (alpha-equal to the generator formulas)
-            # so the recorded unifier re-validates against the spliced steps.
-            major = gens[mi].trace
-            f = major.final
+            major = gens[mi]
+            f = major.formula
             for ni in range(frontier if mi < frontier else 0, size):
-                minor = gens[ni].trace
-                bound = _premise_bindings(f, minor.final)
+                minor = gens[ni]
+                bound = _premise_bindings(f, minor.formula)
                 if bound is None:
                     continue
                 if mi not in fixed:
                     fixed[mi] = set(variables(f.left)).isdisjoint(variables(f.right))
                 canon = _canonical_consequent(f, bound)
                 if keep(canon):
-                    raw, unifier = _detach_step(f, minor.final, bound)
-                    gens.append(Generator(canon, _splice(major, minor, unifier, raw), level))
+                    gens.append(Generator._detached(canon, level, major, minor))
                     if len(gens) > cap:
                         raise GeneratorCapError(level, len(gens), cap)
                 if fixed[mi]:
@@ -466,10 +533,24 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
         yield ClosureLevel(level, tuple(gens))
 
 
+def _levels_to(calc: Calculus, depth: int, subsumption: bool = True) -> Iterator[ClosureLevel]:
+    """Closure levels 0..depth, ending early after the first level from 1 on
+    that adds no generator: it tries no pair at the next level, so every
+    later level holds the same generators."""
+    size = -1
+    for lvl in islice(closure_levels(calc, subsumption=subsumption), depth + 1):
+        yield lvl
+        if len(lvl.generators) == size:
+            return
+        size = len(lvl.generators)
+
+
 def closure_level(calc: Calculus, n: int, *, subsumption: bool = True) -> ClosureLevel:
     if n < 0:
         raise ValueError("level must be nonnegative")
-    return next(islice(closure_levels(calc, subsumption=subsumption), n, None))
+    for lvl in _levels_to(calc, n, subsumption):
+        pass
+    return ClosureLevel(n, lvl.generators)
 
 
 def derives(calc: Calculus, goal: Formula, depth: int) -> Derivable | NotFoundWithinBudget:
@@ -491,8 +572,9 @@ def find_generators(
 ) -> Iterator[tuple[Formula, Generator | None]]:
     """Each goal with the first generator of levels 0..depth having it as an
     instance, or None.  The goals share one closure run, which goes only as
-    deep as the goals taken so far needed."""
-    levels = islice(closure_levels(calc), depth + 1)
+    deep as the goals taken so far needed, and no deeper than the level at
+    which the closure stops growing."""
+    levels = _levels_to(calc, depth)
     gens: tuple[Generator, ...] = ()
     for goal in goals:
         hit = _first_instance(gens, goal)

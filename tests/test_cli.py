@@ -188,6 +188,33 @@ def test_derive_not_found(capsys, calcfile):
     assert obj["verdict"] == "not-found-within-budget"
 
 
+def test_derive_stops_when_the_closure_stops_growing(tmp_path):
+    # Level 1 of {x -> x} adds nothing, so every later level is the same
+    # set: a miss at any depth answers at once.  Stepping the levels to the
+    # depth took 24.6 s at depth 10**7.
+    calc = tmp_path / "i.json"
+    calc.write_text(json.dumps({"label": "i", "axioms": ["x -> x"]}))
+    src = str(Path(tagforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = {}
+    for depth in ("3", str(10**12)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tagforge.cli", "derive", "--calculus", str(calc),
+             "--goal", "a -> b", "--depth", depth],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outs[depth] = proc.stdout
+    assert json.loads(outs[str(10**12)])["depth"] == 10**12
+    assert outs[str(10**12)].replace(str(10**12), "3") == outs["3"]
+    assert json.loads(outs["3"]) == {
+        "verdict": "not-found-within-budget", "goal": "a -> b", "depth": 3
+    }
+
+
 def test_verify_lemma1(capsys):
     code = main(["verify", "lemma1"])
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,6 +1,7 @@
 """Engine tests: condensed detachment, closure levels, traces, chains, and
 the literal-rule oracle that cross-checks the condensed representation."""
 
+import sys
 from collections import Counter
 from itertools import islice
 
@@ -96,6 +97,18 @@ def test_closure_level_examples():
         alpha_equal(g.formula, p("y -> (x -> (y2 -> x))")) for g in lvl1.generators
     )
     assert closure_level(Calculus("empty", ()), 3).generators == ()
+
+
+def test_saturated_closure_is_not_walked_to_the_level():
+    # Level 1 of {x -> x} adds nothing, so every later level holds the same
+    # generators; the level asked for is reported as asked.
+    calc = Calculus("i", (p("x -> x"),))
+    walked = list(islice(closure_levels(calc), 6))
+    assert all(lvl.generators == walked[0].generators for lvl in walked)
+    assert closure_level(calc, 5) == walked[5]
+    assert closure_level(calc, 10**12) == ClosureLevel(10**12, walked[0].generators)
+    assert derives(calc, p("a -> b"), 10**12) == NotFoundWithinBudget(10**12)
+    assert closure_level(Calculus("empty", ()), 10**12) == ClosureLevel(10**12, ())
 
 
 def test_closure_monotone_and_deterministic():
@@ -198,6 +211,10 @@ def test_check_trace_needs_no_unifier(monkeypatch):
     # unification switched off.
     calc = Calculus("ks", (K, S))
     gens = closure_level(calc, 3).generators
+    # Generators build their traces when first read, with the unifier, so
+    # read them all before switching it off.
+    for g in gens:
+        g.trace
     g = next(g for g in gens if g.level > 0 and g.trace.steps[-1].unifier)
     *head, last = g.trace.steps
     mutated = DerivationTrace((*head, DetachStep(last.major, last.minor, {}, last.result)))
@@ -529,10 +546,12 @@ def test_condensed_detach_matches_renaming_apart_on_closures(calc, level, unifie
 
 
 def test_closure_renames_apart_only_kept_pairs(monkeypatch):
-    # Each frontier pair is unified once, and only a kept pair's step is
-    # built from its bindings.  Unifying each kept pair a second time to
-    # record its step made 5,750 unifications here; trying every frontier
-    # pair, including those of a spent fixed-consequent major, made 4,900.
+    # Each frontier pair is unified once, and no step is built until a
+    # trace is read; then each detached generator's step is built once.
+    # Unifying each kept pair a second time to record its step made 5,750
+    # unifications here; trying every frontier pair, including those of a
+    # spent fixed-consequent major, made 4,900.  Building each kept pair's
+    # step as the closure ran made 850 `_detach_step` calls in it.
     calls = {"_unify_banks": 0, "_detach_step": 0}
     for name in calls:
 
@@ -543,6 +562,9 @@ def test_closure_renames_apart_only_kept_pairs(monkeypatch):
         monkeypatch.setattr(engine, name, counting)
     gens = closure_level(Calculus("ks", (K, S)), 4).generators
     assert calls["_unify_banks"] == 3658
+    assert calls["_detach_step"] == 0
+    for g in gens:
+        g.trace
     assert calls["_detach_step"] == sum(g.level > 0 for g in gens) == 850
 
 
@@ -600,6 +622,58 @@ def _assert_same_levels(calc, depth):
 _KS = Calculus("ks", (K, S))
 _TB = Calculus("tb", (K, p("(x -> y) -> (y -> z) -> x -> z"), p("((x -> y) -> x) -> x")))
 _KSP = Calculus("ksp", (K, S, p("((x -> y) -> x) -> x")))
+
+
+def _count_detach_steps(monkeypatch):
+    calls = [0]
+
+    def counting(*args, real=engine._detach_step):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_detach_step", counting)
+    return calls
+
+
+def test_derive_miss_builds_no_step(monkeypatch):
+    # A miss reads no trace, so it builds none; building each kept pair's
+    # step as the closure ran made 850 `_detach_step` calls here.
+    calls = _count_detach_steps(monkeypatch)
+    assert derives(_KS, p("a -> b"), 4) == NotFoundWithinBudget(4)
+    assert calls[0] == 0
+
+
+def test_derive_hit_builds_only_its_ancestry(monkeypatch):
+    # W is found at level 2; its trace detaches three times.  Building each
+    # kept pair's step as the closure ran made 16 calls here.
+    calls = _count_detach_steps(monkeypatch)
+    v = derives(_KS, p("(a -> a -> b) -> a -> b"), 4)
+    assert isinstance(v, Derivable) and v.level == 2
+    assert calls[0] == sum(isinstance(st, DetachStep) for st in v.trace.steps) == 3
+    assert check_trace(_KS, v.trace, p("(a -> a -> b) -> a -> b"))
+
+
+def test_traces_do_not_depend_on_read_order():
+    forwards = closure_level(_KS, 3).generators
+    backwards = closure_level(_KS, 3).generators
+    read_backwards = [trace_to_json(g.trace) for g in reversed(backwards)]
+    assert [trace_to_json(g.trace) for g in forwards] == read_backwards[::-1]
+    assert forwards == backwards
+
+
+def test_deep_ancestry_builds_without_recursion():
+    # Each generator detaches its predecessor by K, so its ancestry is a
+    # chain longer than the recursion limit; the formulas alternate between
+    # K and x1 -> K.
+    k = Generator(K, DerivationTrace((AxiomStep(0, {}, K),)), 0)
+    g = k
+    for level in range(1, sys.getrecursionlimit() + 100):
+        bound = engine._premise_bindings(g.formula, K)
+        g = Generator._detached(engine._canonical_consequent(g.formula, bound), level, g, k)
+    trace = g.trace
+    assert len(trace.steps) == 2 * g.level + 1
+    assert alpha_equal(trace.final, g.formula)
+    assert check_trace(K_CALC, trace, g.formula)
 
 
 # The closure workload's calculi at its depths.
