@@ -42,7 +42,6 @@ from .formulas import (
     Imp,
     Substitution,
     Var,
-    alpha_equal,
     apply_substitution,
     canonical_rename,
     match_instance,

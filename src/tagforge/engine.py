@@ -296,12 +296,6 @@ def _build_trace(g: Generator) -> None:
 _INDEX_DEPTH = 4
 
 
-def _trie_end(symbols: Sequence, stored: list[Formula]) -> list[Formula] | tuple:
-    """The child of a trie node that ends a key after `symbols` more: the
-    formula list itself when there are none, else a tail holding both."""
-    return (tuple(symbols), stored) if symbols else stored
-
-
 class _GeneralisationIndex:
     """Discrimination tree over formulas, for forward subsumption.
 
@@ -317,17 +311,22 @@ class _GeneralisationIndex:
     the closures of the benchmark's five textbook calculi `subsumes` made
     179,351 `match_instance` calls with keys of the implication skeleton
     alone, and makes 19,765 with these; 2,251 of them succeed either way.
+
+    The tree is path-compressed (a radix trie): an edge holds a run of key
+    symbols, every inner node but the root branches, and the rest of a key
+    that no other key shares is one edge.  Edges split where keys arrive, so
+    the shape depends on the order of `add` calls; the candidates do not.
     """
 
     def __init__(self) -> None:
-        # An inner trie node is a dict from key symbol to child.  The child
-        # a whole key ends in is the list of formulas stored under that key.
-        # The rest of a key that no other key shares is one tail, a pair of
-        # the remaining symbols and that list, so a run of single-child
-        # nodes costs no dict each: after K+S to level 4 the trie has 892
-        # dicts instead of 3,958, 3,468 of which had a single child.
-        # Positional slots or a flat [symbol, child, ...] list per node took
-        # half the memory of dicts but made `candidates` 40-60% slower.
+        # An inner node is a dict from the first symbol of each outgoing edge
+        # to the edge, a pair of its non-empty symbol tuple and its child: an
+        # inner node, or the list of formulas stored under the key the edge
+        # ends.  After K+S to level 4 the trie has 491 dicts and 1,118 edges;
+        # one dict per key symbol made 3,958 dicts, 3,468 of them with a
+        # single child.  Positional slots or a flat [symbol, child, ...] list
+        # per node took half the memory of dicts but made `candidates` 40-60%
+        # slower.
         self._root: dict = {}
 
     def add(self, f: Formula) -> None:
@@ -344,84 +343,62 @@ class _GeneralisationIndex:
                 todo.append((t.left, depth + 1))
             else:
                 key.append("*")
-        # Keys are preorders, so no key is a proper prefix of another: two
-        # keys that differ at all differ at a symbol both have.
+        # Keys are preorders, so no key is a proper prefix of another: a key
+        # that leaves an edge does so at a symbol both have, and a key that
+        # follows an edge to a formula list ends there.
         node = self._root
-        for i, symbol in enumerate(key, 1):
-            child = node.get(symbol)
-            if child is None:
-                node[symbol] = _trie_end(key[i:], [f])
+        i = 0
+        while True:
+            edge = node.get(key[i])
+            if edge is None:
+                node[key[i]] = (tuple(key[i:]), [f])
                 return
-            if type(child) is dict:
-                node = child
-                continue
+            symbols, child = edge
+            j = 1
+            while j < len(symbols) and symbols[j] == key[i + j]:
+                j += 1
+            if j < len(symbols):
+                # Split the edge where the new key leaves it.
+                node[key[i]] = (
+                    symbols[:j],
+                    {symbols[j]: (symbols[j:], child), key[i + j]: (tuple(key[i + j :]), [f])},
+                )
+                return
             if type(child) is list:
                 child.append(f)
                 return
-            tail, stored = child
-            rest = key[i:]
-            j = 0
-            while j < len(tail) and tail[j] == rest[j]:
-                j += 1
-            if j == len(tail):
-                stored.append(f)
-                return
-            # Split the tail where the new key leaves it.
-            node[symbol] = node = {}
-            for s in tail[:j]:
-                node[s] = node = {}
-            node[tail[j]] = _trie_end(tail[j + 1 :], stored)
-            node[rest[j]] = _trie_end(rest[j + 1 :], [f])
-            return
+            node = child
+            i += j
 
     def candidates(self, f: Formula) -> list[Formula]:
         out: list[Formula] = []
         # Each entry: an inner trie node, the next subterm of f to read
         # there, the subterms still to read after it as a linked list of
         # (term, rest) pairs, and the subterms of f bound to the key's
-        # variable numbers so far.  A trie node's children all read subterms
-        # at one depth, so ">" and "*" never meet in one node.
+        # variable numbers so far.
         todo = [(self._root, f, None, ())]
         while todo:
-            node, t, rest, bound = todo.pop()
-            for symbol, child in node.items():
-                if type(symbol) is int:
-                    if symbol == len(bound):
-                        after = (*bound, t)
-                    elif bound[symbol] is t:
-                        after = bound
-                    else:
-                        continue
-                    nxt = rest
-                elif type(t) is not Imp:
-                    continue
-                elif symbol == ">":
-                    after, nxt = bound, (t.left, (t.right, rest))
-                else:
-                    after, nxt = bound, rest
-                if nxt is None:
-                    out.extend(child)
-                elif type(child) is dict:
-                    todo.append((child, *nxt, after))
-                else:
-                    # A tail: read its symbols in turn, by the same rules.
-                    tail, stored = child
-                    s, more = nxt
-                    for sym in tail:
-                        if type(sym) is int:
-                            if sym == len(after):
-                                after = (*after, s)
-                            elif after[sym] is not s:
-                                break
-                        elif type(s) is not Imp:
+            node, start, rest, bound = todo.pop()
+            for symbols, child in node.values():
+                t, more, binds = start, rest, bound
+                for symbol in symbols:
+                    if type(symbol) is int:
+                        if symbol == len(binds):
+                            binds = (*binds, t)
+                        elif binds[symbol] is not t:
                             break
-                        elif sym == ">":
-                            s, more = s.left, (s.right, more)
-                            continue
-                        if more is not None:
-                            s, more = more
+                    elif type(t) is not Imp:
+                        break
+                    elif symbol == ">":
+                        t, more = t.left, (t.right, more)
+                        continue
+                    if more is not None:
+                        t, more = more
+                else:
+                    if type(child) is list:
+                        out.extend(child)
                     else:
-                        out.extend(stored)
+                        todo.append((child, t, more, binds))
         return out
 
     def subsumes(self, f: Formula) -> bool:
@@ -464,7 +441,8 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     as graphs, and a bounded key costs at most 31 steps to build for any
     formula.  Deeper keys prune more candidates but cost more memory per
     generator, and on the textbook calculi they did not make the closure
-    measurably faster.  Without subsumption no index is built.
+    measurably faster.  The index is path-compressed, so adding a generator
+    makes at most one inner node.  Without subsumption no index is built.
 
     A closure with more generators than the cap raises `GeneratorCapError`.
     The cap comes from the environment variable named by `CAP_ENV_VAR`

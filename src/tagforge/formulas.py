@@ -46,7 +46,6 @@ __all__ = [
     "Imp",
     "Substitution",
     "Var",
-    "alpha_equal",
     "apply_substitution",
     "canonical_rename",
     "match_instance",
@@ -563,31 +562,6 @@ def match_instance(candidate: Formula, pattern: Formula) -> Substitution | None:
     return dict(
         sorted((p.name, c) for p, c in image.items() if type(p) is Var and c is not p)
     )
-
-
-def alpha_equal(a: Formula, b: Formula) -> bool:
-    """True when a and b differ only by a bijective renaming of variables."""
-    fwd: dict[str, str] = {}
-    back: dict[str, str] = {}
-    stack = [(a, b)]
-    seen: set[tuple[int, int]] = set()
-    while stack:
-        s, t = stack.pop()
-        if type(s) is not type(t):
-            return False
-        if type(s) is Var:
-            if fwd.setdefault(s.name, t.name) != t.name:
-                return False
-            if back.setdefault(t.name, s.name) != s.name:
-                return False
-        else:
-            key = (id(s), id(t))
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.append((s.right, t.right))
-            stack.append((s.left, t.left))
-    return True
 
 
 def canonical_rename(f: Formula) -> Formula:

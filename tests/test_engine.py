@@ -39,7 +39,6 @@ from tagforge.engine import (
 from tagforge.formulas import (
     Imp,
     Var,
-    alpha_equal,
     apply_substitution,
     canonical_rename,
     match_instance,
@@ -68,9 +67,10 @@ def condensed_detach(major, minor):
 def test_condensed_detach_examples():
     got = condensed_detach(K, K)
     # oracle: unify x against a fresh copy x2 -> (y2 -> x2) by hand
-    assert alpha_equal(got, p("y -> (x2 -> (y2 -> x2))"))
+    assert canonical_rename(got) is canonical_rename(p("y -> (x2 -> (y2 -> x2))"))
     assert condensed_detach(Var("p"), K) is None
-    assert alpha_equal(condensed_detach(p("x -> y"), Var("z")), Var("y"))
+    got = condensed_detach(p("x -> y"), Var("z"))
+    assert canonical_rename(got) is canonical_rename(Var("y"))
 
 
 # The major and the minor share variable names, so a binding read in the
@@ -93,9 +93,8 @@ def test_condensed_detach_shared_names(major, minor, expected):
 def test_closure_level_examples():
     assert len(closure_level(K_CALC, 0).generators) == 1
     lvl1 = closure_level(K_CALC, 1)
-    assert any(
-        alpha_equal(g.formula, p("y -> (x -> (y2 -> x))")) for g in lvl1.generators
-    )
+    want = canonical_rename(p("y -> (x -> (y2 -> x))"))
+    assert any(canonical_rename(g.formula) is want for g in lvl1.generators)
     assert closure_level(Calculus("empty", ()), 3).generators == ()
 
 
@@ -259,7 +258,7 @@ def test_chain_trace_detaches_along_links():
         AxiomStep, AxiomStep, DetachStep, AxiomStep, DetachStep
     ]
     assert [(st.major, st.minor) for st in trace.steps[2::2]] == [(1, 0), (3, 2)]
-    assert alpha_equal(trace.final, c)
+    assert canonical_rename(trace.final) is canonical_rename(c)
     assert check_trace(calc, trace, c)
     # extending a trace keeps its steps
     assert chain_trace(chain_trace(start, links[:1]), links[1:]) == trace
@@ -358,7 +357,7 @@ def test_detach_result_is_detachable_instance(major, minor):
     u = unify(major.left, fresh)
     assert u is not None
     assert apply_substitution(u, major.left) == apply_substitution(u, fresh)
-    assert alpha_equal(apply_substitution(u, major.right), got)
+    assert canonical_rename(apply_substitution(u, major.right)) is canonical_rename(got)
 
 
 # The kernel's `unify` as it was before it shared the two-bank loop with
@@ -672,7 +671,7 @@ def test_deep_ancestry_builds_without_recursion():
         g = Generator._detached(engine._canonical_consequent(g.formula, bound), level, g, k)
     trace = g.trace
     assert len(trace.steps) == 2 * g.level + 1
-    assert alpha_equal(trace.final, g.formula)
+    assert canonical_rename(trace.final) is canonical_rename(g.formula)
     assert check_trace(K_CALC, trace, g.formula)
 
 
@@ -901,18 +900,25 @@ def _trie_contents(draw):
     st.integers(0, 30),
 )
 def test_index_candidates_match_dict_trie(stored, other, subst, pick):
+    # Edges split where keys arrive, so the trie's shape depends on the
+    # order of insertion; its candidates must not.
     index = _GeneralisationIndex()
+    backwards = _GeneralisationIndex()
     reference = _DictIndex()
     for g in stored:
         index.add(g)
         reference.add(g)
+    for g in reversed(stored):
+        backwards.add(g)
     instance = apply_substitution(subst, stored[pick % len(stored)])
     for f in (other, instance, *stored):
-        assert Counter(index.candidates(f)) == Counter(reference.candidates(f))
+        want = Counter(reference.candidates(f))
+        assert Counter(index.candidates(f)) == want
+        assert Counter(backwards.candidates(f)) == want
 
 
-def test_index_keeps_unshared_tails_whole(monkeypatch):
-    # With one dict per inner node the trie had 3,958 dicts here, 3,468 of
+def test_index_is_path_compressed(monkeypatch):
+    # With one dict per key symbol the trie had 3,958 dicts here, 3,468 of
     # them with a single child.
     made = []
 
@@ -922,13 +928,20 @@ def test_index_keeps_unshared_tails_whole(monkeypatch):
             made.append(self)
 
     monkeypatch.setattr(engine, "_GeneralisationIndex", Recorded)
-    closure_level(_KS, 4)
-    dicts, tails, stack = 0, 0, [made[0]._root]
+    gens = closure_level(_KS, 4).generators
+    root = made[0]._root
+    dicts, edges, stored, stack = 0, 0, [], [root]
     while stack:
         node = stack.pop()
-        if type(node) is dict:
-            dicts += 1
-            stack.extend(node.values())
-        elif type(node) is tuple:
-            tails += 1
-    assert (dicts, tails) == (892, 518)
+        if type(node) is list:
+            stored += node
+            continue
+        dicts += 1
+        assert node is root or len(node) >= 2
+        for first, (symbols, child) in node.items():
+            edges += 1
+            assert type(symbols) is tuple and symbols[0] == first
+            assert type(child) in (dict, list)
+            stack.append(child)
+    assert Counter(stored) == Counter(canonical_rename(g.formula) for g in gens)
+    assert (dicts, edges) == (491, 1118)

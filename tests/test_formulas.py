@@ -21,7 +21,6 @@ from tagforge.formulas import (
     FormulaSyntaxError,
     Imp,
     Var,
-    alpha_equal,
     apply_substitution,
     canonical_rename,
     match_instance,
@@ -179,6 +178,32 @@ def _match_instance_pairs(candidate, pattern):
         for k, v in sorted(binds.items())
         if not (type(v) is Var and v.name == k)
     }
+
+
+def alpha_equal(a, b):
+    """True when a and b differ only by a bijective renaming of variables:
+    the reference that canonical forms decide alpha-equality against."""
+    fwd = {}
+    back = {}
+    stack = [(a, b)]
+    seen = set()
+    while stack:
+        s, t = stack.pop()
+        if type(s) is not type(t):
+            return False
+        if type(s) is Var:
+            if fwd.setdefault(s.name, t.name) != t.name:
+                return False
+            if back.setdefault(t.name, s.name) != s.name:
+                return False
+        else:
+            key = (id(s), id(t))
+            if key in seen:
+                continue
+            seen.add(key)
+            stack.append((s.right, t.right))
+            stack.append((s.left, t.left))
+    return True
 
 
 def test_interned_nodes_are_identical():
