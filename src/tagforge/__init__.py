@@ -11,6 +11,7 @@ from .codec import (
     choose_hat,
     circ,
     code_letter,
+    code_member_of,
     code_word,
     decode,
     default_hat_candidates,

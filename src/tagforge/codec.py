@@ -14,6 +14,8 @@ which concatenates encoded pieces.  A letter is encoded as circ of a
 right-nested chain of the reserved variable p (chain length is the letter's
 index, a=1 ... z=26); a word is encoded as the set of all dot-bracketings of
 its letter codes, so a word of length n has catalan(n-1) code members.
+`code_member_of` reads back the one member that a formula is an instance
+of, and `decode` the member that a formula is.
 
 Everything is pure.  The term kernel interns every formula, so caching a
 formula only saves rebuilding it.  Four caches are kept, each for a reason
@@ -22,9 +24,10 @@ formula only saves rebuilding it.  Four caches are kept, each for a reason
                 uncached, as its results are `dot`'s;
   letter_code,  equal parses are one object (see `AlphabeticFormula`), and
   dot_code      without them job tail time rose 53% (0.011 to 0.017 s);
-  _bracketings  `code_word` is uncached and asked again for each run word:
-                on lemma 9 for collatz `aaaaaaa` to depth 2 this cache
-                turns 315,112 `dot_code` calls into 462.
+  _bracketings  each left member re-reads the word's right part, so
+                uncached calls grow faster than the members: the default
+                lemma 3 sweep makes 1,332 `dot_code` calls without it and
+                468 with it, a 12-letter word 476,102 and 106,212.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ __all__ = [
     "choose_hat",
     "circ",
     "code_letter",
+    "code_member_of",
     "code_word",
     "decode",
     "default_hat_candidates",
@@ -234,82 +238,67 @@ def right_nested(h: HatTemplate, word: str) -> AlphabeticFormula:
     return spine
 
 
-def _unhat(h: HatTemplate, f: Formula) -> Formula | None:
-    """Invert the template: g with hat_at(h, g) == f, if any."""
-    if type(h.body) is Var:
-        return f
-    m = match_instance(f, h.body)
-    if m is None:
-        return None
-    return m.get("x", Var("x"))
+def _unhat(h: HatTemplate, f: Formula) -> Formula:
+    """The g with hat_at(h, g) == f, if f is a hat: f's subterm where the
+    template has its leftmost x.  Otherwise some subterm of f."""
+    body = h.body
+    while type(body) is Imp and type(f) is Imp:
+        body, f = body.left, f.left
+    return f
 
 
-def _letter_chain_index(f: Formula) -> int | None:
-    n = 0
-    g = f
-    while type(g) is Imp and g.left == _P:
-        n += 1
-        g = g.right
-    if n >= 1 and g == _P:
-        return n
-    return None
+def code_member_of(h: HatTemplate, f: Formula) -> AlphabeticFormula | None:
+    """The code member under h that f is an instance of, or None.
+
+    Substituting for p leaves every circ node above the p leaves intact, so
+    the member is read off f's skeleton.  A node circ(h, x, y) whose x is a
+    chain y -> y -> ... -> y of 1 to 26 links over its own y is a letter;
+    any other node is dot(h, a, y) with a = x.right.  A dot's x is
+    (a -> a) -> a, which is never such a chain, so an instance of a member
+    reads as that member, and by lemma 3 no other member generalises it.
+    The one `match_instance` at the end decides.  Right operands are walked
+    in a loop and left operands wait on an explicit stack, so a code of any
+    length and bracketing is read.
+    """
+    # Formulas still to read, and None marking a dot whose operands' members
+    # are on top of `done`, the left one uppermost.
+    todo: list[Formula | None] = [f]
+    done: list[AlphabeticFormula] = []
+    while todo:
+        g = todo.pop()
+        if g is None:
+            left = done.pop()
+            done.append(dot_code(h, left, done.pop()))
+            continue
+        while True:
+            if type(g) is not Imp or type(g.left) is not Imp or type(g.right) is not Imp:
+                return None
+            y = _unhat(h, g.left.right)
+            x = _unhat(h, g.right.left)
+            if type(x) is not Imp:
+                return None
+            links, chain = 0, x
+            while type(chain) is Imp and chain.left is y:
+                links, chain = links + 1, chain.right
+            if chain is y and 1 <= links <= 26:
+                done.append(letter_code(h, chr(ord("a") + links - 1)))
+                break
+            todo.append(None)
+            todo.append(x.right)
+            g = y
+    member = done[0]
+    return member if match_instance(f, member.formula) is not None else None
 
 
 def decode(h: HatTemplate, f: Formula) -> AlphabeticFormula | None:
-    """Recover the unique parse of f under h's encoding, or None.
+    """The unique parse of f under h's encoding, or None.
 
-    Present exactly when f is an alphabetic formula (a letter code or a dot of
-    two alphabetic formulas) for this template.  The right spine of each
-    operand is walked in a loop, and left operands wait on an explicit stack,
-    so a code of any length and bracketing decodes.
+    Present exactly when f is itself a code member (a letter code or a dot of
+    two alphabetic formulas) for this template: the member that
+    `code_member_of` reads off f, when it is f and not a proper instance.
     """
-    # Formulas still to parse, and 1-tuples holding a dot node whose operands'
-    # parses are on top of `done`, the left one uppermost.
-    todo: list[Formula | tuple[Formula]] = [f]
-    done: list[AlphabeticFormula] = []
-    while todo:
-        item = todo.pop()
-        if type(item) is tuple:
-            left = done.pop()
-            result = dot_code(h, left, done.pop())
-            if result.formula != item[0]:
-                return None
-            done.append(result)
-            continue
-        f = item
-        while True:
-            if type(f) is not Imp or type(f.right) is not Imp:
-                return None
-            pivot, body = f.left, f.right
-            if body.right != pivot or type(pivot) is not Imp or type(pivot.left) is not Imp:
-                return None
-            q = pivot.right
-            if pivot.left.left != q or pivot.left.right != q:
-                return None
-            y_arg = _unhat(h, q)
-            x_arg = _unhat(h, body.left)
-            if y_arg is None or x_arg is None:
-                return None
-            index = _letter_chain_index(x_arg)
-            if index is not None:
-                if y_arg != _P or not 1 <= index <= 26:
-                    return None
-                result = letter_code(h, chr(ord("a") + index - 1))
-                if result.formula != f:
-                    return None
-                done.append(result)
-                break
-            if not (
-                type(x_arg) is Imp
-                and type(x_arg.left) is Imp
-                and x_arg.left.left == x_arg.right
-                and x_arg.left.right == x_arg.right
-            ):
-                return None
-            todo.append((f,))
-            todo.append(x_arg.right)
-            f = y_arg
-    return done[0]
+    member = code_member_of(h, f)
+    return member if member is not None and member.formula is f else None
 
 
 def choose_hat(p0, candidates: Sequence[HatTemplate]) -> HatTemplate:

@@ -24,12 +24,13 @@ from .codec import (
     DEFAULT_HAT,
     HatTemplate,
     choose_hat,
+    code_member_of,
     code_word,
     default_hat_candidates,
     dot,
 )
 from .engine import Calculus, calculus_to_json
-from .formulas import Formula, Imp, Var, match_instance, render_formula
+from .formulas import Formula, Imp, Var, render_formula
 from .tags import TagSystem, render_tag_file, run_words
 
 __all__ = [
@@ -181,14 +182,17 @@ def t_alpha_member(
     t: TagSystem, alpha: str, f: Formula, h: HatTemplate, max_steps: int
 ) -> bool:
     """Is f an instance of a code member of alpha or of any word the run from
-    alpha produces within max_steps productions?"""
+    alpha produces within max_steps productions?
+
+    At most one member generalises f, and `code_member_of` reads it off f's
+    skeleton, so no word's bracketings are enumerated: the answer is whether
+    that member's word is on the run.
+    """
     if not alpha:
         raise ValueError("alpha must be nonempty")
-    for word in run_words(t, alpha, max_steps):
-        for member in code_word(h, word).formulas:
-            if match_instance(f, member) is not None:
-                return True
-    return False
+    words = run_words(t, alpha, max_steps)
+    member = code_member_of(h, f)
+    return member is not None and member.word in words
 
 
 def bundle_to_json(bundle: ReductionBundle) -> dict:

@@ -13,6 +13,7 @@ from tagforge.codec import (
     choose_hat,
     circ,
     code_letter,
+    code_member_of,
     code_word,
     decode,
     default_hat_candidates,
@@ -26,6 +27,7 @@ from tagforge.engine import Calculus
 from tagforge.formulas import (
     Imp,
     Var,
+    apply_substitution,
     match_instance,
     parse_formula,
     rename_apart,
@@ -194,6 +196,40 @@ def test_decode_long_left_nested_code():
     for letter in word[1:]:
         code = dot_code(H, code, letter_code(H, letter))
     assert decode(H, code.formula) is code
+
+
+@pytest.mark.parametrize("h", HATS)
+def test_code_member_of_reads_members_and_their_instances(h):
+    # Every member of every word of up to 5 letters reads as itself, and so
+    # does each of its instances; decode takes only the member itself.
+    images = [p("q"), p("q -> q"), p("(q -> r) -> q"), code_letter(h, 2)]
+    for n in range(1, 6):
+        for word in words_of_length(("a", "b", "c"), n):
+            for member in code_word(h, word).members:
+                assert code_member_of(h, member.formula) is member
+                for image in images:
+                    instance = apply_substitution({"p": image}, member.formula)
+                    assert code_member_of(h, instance) is member
+                    assert decode(h, instance) is None
+
+
+def test_code_member_of_rejects_non_instances():
+    q = Var("q")
+    chain = q
+    for _ in range(27):
+        chain = Imp(q, chain)
+    for f in (
+        p("x -> (y -> x)"),
+        p("p"),
+        Imp(code_letter(H, 1), Var("z")),
+        # a chain past z, and a node whose argument is its own y
+        circ(H, chain, q),
+        circ(H, p("q -> q"), p("q -> q")),
+        # reads as the member of "aa", but p would need two images
+        dot(H, apply_substitution({"p": q}, code_letter(H, 1)), code_letter(H, 1)),
+    ):
+        assert code_member_of(H, f) is None
+        assert decode(H, f) is None
 
 
 def test_all_members_single_variable_p():

@@ -2,17 +2,19 @@
 
 import pytest
 
-from tagforge.codec import DEFAULT_HAT, catalan, code_word, decode
-from tagforge.engine import Calculus, Derivable, check_trace, derives
+from tagforge import reduction
+from tagforge.codec import DEFAULT_HAT, catalan, code_word, decode, dot_code, letter_code
+from tagforge.engine import Calculus, Derivable, check_trace, closure_level, derives
 from tagforge.formulas import (
     Imp,
     apply_substitution,
+    match_instance,
     parse_formula,
     rename_apart,
     unify,
     variables,
 )
-from tagforge.lemmas import collatz_system, shrinking_system
+from tagforge.lemmas import collatz_system, growing_system, shrinking_system
 from tagforge.reduction import (
     build_H,
     build_PT,
@@ -23,7 +25,7 @@ from tagforge.reduction import (
     t_alpha_member,
     words_of_length,
 )
-from tagforge.tags import parse_tag_system
+from tagforge.tags import parse_tag_system, run_words
 
 p = parse_formula
 H = DEFAULT_HAT
@@ -144,6 +146,60 @@ def test_t_alpha_member_examples():
     assert not t_alpha_member(t, "aaa", K, H, 5)
     with pytest.raises(ValueError):
         t_alpha_member(t, "", K, H, 1)
+
+
+def enumerating_t_alpha_member(t, alpha, f, h, max_steps):
+    # Reference: match f against every bracketing of every run word.
+    if not alpha:
+        raise ValueError("alpha must be nonempty")
+    for word in run_words(t, alpha, max_steps):
+        for member in code_word(h, word).formulas:
+            if match_instance(f, member) is not None:
+                return True
+    return False
+
+
+@pytest.mark.parametrize(
+    "t, long_input",
+    [(collatz_system(), "aaaaaaa"), (shrinking_system(), "abababa"), (growing_system(), "aaaaaaa")],
+    ids=["collatz", "shrinking", "growing"],
+)
+def test_t_alpha_member_matches_enumeration(t, long_input):
+    # Every generator of level 2 of the production calculus plus the input
+    # code, for every input of up to 3 letters and one of 7, at budgets 0-2.
+    pt = build_PT(t, H)
+    inputs = [w for n in (1, 2, 3) for w in words_of_length(sorted(t.alphabet), n)]
+    hits = 0
+    for alpha in inputs + [long_input]:
+        base = Calculus("productions+input", pt.axioms + code_word(H, alpha).formulas)
+        for g in closure_level(base, 2).generators:
+            for max_steps in (0, 1, 2):
+                got = t_alpha_member(t, alpha, g.formula, H, max_steps)
+                assert got == enumerating_t_alpha_member(t, alpha, g.formula, H, max_steps)
+                hits += got
+    assert hits > 0
+
+
+def test_t_alpha_member_enumerates_no_bracketings(monkeypatch):
+    # A member of a 12-letter run word is recognised without code_word.
+    def no_code_word(*args):
+        raise AssertionError("code_word called")
+
+    monkeypatch.setattr(reduction, "code_word", no_code_word)
+    t = collatz_system()
+    alpha = "a" * 12
+    word = run_words(t, alpha, 1)[1]
+    assert word == "a" * 10 + "bc"
+    left_nested = letter_code(H, word[0])
+    for letter in word[1:]:
+        left_nested = dot_code(H, left_nested, letter_code(H, letter))
+    instance = apply_substitution({"p": p("q -> q")}, left_nested.formula)
+    assert t_alpha_member(t, alpha, instance, H, 1)
+    assert not t_alpha_member(t, alpha, instance, H, 0)
+    assert not t_alpha_member(t, alpha, K, H, 1)
+    # alpha is still checked before f is read
+    with pytest.raises(ValueError, match="outside alphabet"):
+        t_alpha_member(t, "az", instance, H, 1)
 
 
 def test_group_disjointness_with_codes():
