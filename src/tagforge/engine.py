@@ -608,19 +608,6 @@ class ChainProof:
     waypoints: tuple[Formula, ...]
     links: tuple[DerivationTrace, ...]
 
-    @staticmethod
-    def concat(chains: Sequence["ChainProof"]) -> "ChainProof":
-        if not chains:
-            raise ValueError("cannot concatenate zero chains")
-        waypoints = list(chains[0].waypoints)
-        links = list(chains[0].links)
-        for nxt in chains[1:]:
-            if nxt.waypoints[0] != waypoints[-1]:
-                raise ValueError("chain endpoints do not meet")
-            waypoints.extend(nxt.waypoints[1:])
-            links.extend(nxt.links)
-        return ChainProof(tuple(waypoints), tuple(links))
-
 
 def chain_trace(start: DerivationTrace, links: Sequence[DerivationTrace]) -> DerivationTrace:
     """`start` extended along the links: for each link, its steps and one

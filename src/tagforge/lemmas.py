@@ -13,7 +13,7 @@ states.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .codec import (
     CODE_VARIABLE,
@@ -35,6 +35,7 @@ from .engine import (
     ChainProof,
     ClosureLevel,
     DerivationTrace,
+    Generator,
     GeneratorCapError,
     chain_check,
     chain_trace,
@@ -241,15 +242,14 @@ def check_lemma3(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaRepor
 # --- rebracketing chains ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Link:
-    axiom: int  # index into rebracketing_axioms order
+class _Link(NamedTuple):
+    """One chain link: the instance of `axiom` under `subst` that takes
+    `source` to `target`."""
+
+    axiom: Formula
     subst: dict
     source: AlphabeticFormula
     target: AlphabeticFormula
-
-
-_INVERSE_ROTATION = {0: 1, 1: 0, 2: 3, 3: 2}
 
 
 def _is_right_nested(a: AlphabeticFormula) -> bool:
@@ -260,16 +260,26 @@ def _is_right_nested(a: AlphabeticFormula) -> bool:
     return True
 
 
-def _chain_to_spine(h: HatTemplate, a: AlphabeticFormula) -> list[_Link]:
-    """Links taking `a` to the fully right-nested bracketing of its word.
+def _chain_to_spine(h: HatTemplate, a: AlphabeticFormula) -> list[tuple]:
+    """Rotations taking `a` to the fully right-nested bracketing of its word:
+    for each, its position k in rebracketing_axioms order, its substitution,
+    and its source and target.
 
     First the right spine is combed into a single left factor (root
     rotations), then that factor is unwound letter by letter (left-factor
     rotations followed by one root rotation each round).
     """
-    links: list[_Link] = []
+    moves: list[tuple] = []
+
+    def move(k: int, source: AlphabeticFormula, nxt: AlphabeticFormula, x, y, z, u=None) -> None:
+        # u is bound only by the rotations under a trailer
+        subst = {"x": x.formula, "y": y.formula, "z": z.formula}
+        if u is not None:
+            subst["u"] = u.formula
+        moves.append((k, subst, source, nxt))
+
     if _is_right_nested(a):
-        return links
+        return moves
     spine: list[AlphabeticFormula] = []
     node = a
     while not node.is_letter:
@@ -279,14 +289,7 @@ def _chain_to_spine(h: HatTemplate, a: AlphabeticFormula) -> list[_Link]:
     for _ in range(len(spine) - 1):
         left, rest = current.left, current.right
         nxt = dot_code(h, dot_code(h, left, rest.left), rest.right)
-        links.append(
-            _Link(
-                0,
-                {"x": left.formula, "y": rest.left.formula, "z": rest.right.formula},
-                current,
-                nxt,
-            )
-        )
+        move(0, current, nxt, left, rest.left, rest.right)
         current = nxt
     while True:
         left, tail = current.left, current.right
@@ -295,38 +298,30 @@ def _chain_to_spine(h: HatTemplate, a: AlphabeticFormula) -> list[_Link]:
         while not left.right.is_letter:
             new_left = dot_code(h, dot_code(h, left.left, left.right.left), left.right.right)
             nxt = dot_code(h, new_left, tail)
-            links.append(
-                _Link(
-                    2,
-                    {
-                        "x": left.left.formula,
-                        "y": left.right.left.formula,
-                        "z": left.right.right.formula,
-                        "u": tail.formula,
-                    },
-                    current,
-                    nxt,
-                )
-            )
+            move(2, current, nxt, left.left, left.right.left, left.right.right, tail)
             current, left = nxt, new_left
         head, last = left.left, left.right
         nxt = dot_code(h, head, dot_code(h, last, tail))
-        links.append(
-            _Link(
-                1,
-                {"x": head.formula, "y": last.formula, "z": tail.formula},
-                current,
-                nxt,
-            )
-        )
+        move(1, current, nxt, head, last, tail)
         current = nxt
+    return moves
+
+
+def _rotation_links(
+    h: HatTemplate, source: AlphabeticFormula, target: AlphabeticFormula
+) -> list[_Link]:
+    """Rebracketing links from `source` to `target`, two bracketings of one
+    word: normalize the source to the right-nested spine, then run the
+    target's own normalization backwards, each rotation by its converse."""
+    if source.word != target.word:
+        raise ValueError("source and target must encode the same word")
+    axioms = rebracketing_axioms(h)
+    links = [_Link(axioms[k], subst, a, b) for k, subst, a, b in _chain_to_spine(h, source)]
+    links += [
+        _Link(axioms[k ^ 1], subst, b, a)
+        for k, subst, a, b in reversed(_chain_to_spine(h, target))
+    ]
     return links
-
-
-def _invert(link: _Link) -> _Link:
-    # Every rotation axiom has its converse in the group, under the same
-    # substitution.
-    return _Link(_INVERSE_ROTATION[link.axiom], link.subst, link.target, link.source)
 
 
 def _axiom_index(calc: Calculus) -> dict[Formula, int]:
@@ -337,33 +332,14 @@ def _axiom_index(calc: Calculus) -> dict[Formula, int]:
     return index
 
 
-def _rotation_chain(
-    h: HatTemplate,
-    source: AlphabeticFormula,
-    target: AlphabeticFormula,
-    index: dict[Formula, int],
-) -> ChainProof:
-    """build_chain_lemma6 with link axioms numbered by `index`, the axiom
-    index of the calculus that checks the chain."""
-    if source.word != target.word:
-        raise ValueError("source and target must encode the same word")
-    links = _chain_to_spine(h, source)
-    links += [_invert(l) for l in reversed(_chain_to_spine(h, target))]
-    positions = [index[ax] for ax in rebracketing_axioms(h)]
-    waypoints = [source.formula] + [l.target.formula for l in links]
-    traces = tuple(
-        DerivationTrace(
-            (
-                AxiomStep(
-                    positions[l.axiom],
-                    l.subst,
-                    Imp(l.source.formula, l.target.formula),
-                ),
-            )
-        )
-        for l in links
+def _chain(start: Formula, links: list[_Link], index: dict[Formula, int]) -> ChainProof:
+    """The chain from `start` along the links, each link one axiom step
+    numbered by `index`, the axiom index of the calculus that checks it."""
+    waypoints = (start,) + tuple(l.target.formula for l in links)
+    steps = (
+        AxiomStep(index[l.axiom], l.subst, Imp(l.source.formula, l.target.formula)) for l in links
     )
-    return ChainProof(tuple(waypoints), traces)
+    return ChainProof(waypoints, tuple(DerivationTrace((step,)) for step in steps))
 
 
 def build_chain_lemma6(
@@ -373,72 +349,63 @@ def build_chain_lemma6(
     rebracketing axioms and checkable against rebracketing_calculus(h):
     normalize the source to the right-nested spine, then run the target's own
     normalization backwards."""
-    return _rotation_chain(h, source, target, _axiom_index(rebracketing_calculus(h)))
+    index = _axiom_index(rebracketing_calculus(h))
+    return _chain(source.formula, _rotation_links(h, source, target), index)
 
 
 # --- production chains ------------------------------------------------------
 
 
-def _production_chain(
-    t: TagSystem, h: HatTemplate, word: str, nxt: str, index: dict[Formula, int]
-) -> ChainProof:
-    """A chain from the code of `word`, at least t.deletion letters long, to
-    the code of `nxt`, its successor under one production, with link axioms
-    numbered by `index`, the axiom index of build_PT(t, h).
+def _production_links(t: TagSystem, h: HatTemplate, word: str, nxt: str) -> list[_Link]:
+    """Links from the code of `word`, at least t.deletion letters long, to
+    the code of `nxt`, its successor under one production.
 
     Chosen endpoints are the right-nested members.  When nothing is left of
-    the word beyond the consumed head, a single direct production axiom links
-    the two codes; otherwise the code is rebracketed into head-and-tail form,
-    one production axiom fires with the tail bound to the scheme variable,
-    and the result is rebracketed to the spine.
+    the word beyond the consumed head, a single T2 axiom links the two codes;
+    otherwise the code is rebracketed into head-and-tail form, one T1 axiom
+    fires with the tail bound to the scheme variable, and the result is
+    rebracketed to the spine.
     """
     d = t.deletion
     head, beta = word[:d], word[d:]
     omega = t.productions[word[0]]
-    source = right_nested(h, word)
-    target = right_nested(h, nxt)
+    source, target = right_nested(h, word), right_nested(h, nxt)
     if not beta:
-        axiom = Imp(source.formula, target.formula)
-        link = DerivationTrace((AxiomStep(index[axiom], {}, axiom),))
-        return ChainProof((source.formula, target.formula), (link,))
-    head_rn = right_nested(h, head)
-    beta_rn = right_nested(h, beta)
-    omega_rn = right_nested(h, omega)
+        return [_Link(Imp(source.formula, target.formula), {}, source, target)]
+    head_rn, beta_rn, omega_rn = (right_nested(h, w) for w in (head, beta, omega))
     split = dot_code(h, head_rn, beta_rn)
     successor = dot_code(h, beta_rn, omega_rn)
-    first = _rotation_chain(h, source, split, index)
-    axiom = Imp(
-        dot(h, head_rn.formula, Var("x")), dot(h, Var("x"), omega_rn.formula)
-    )
-    subst = {"x": beta_rn.formula}
-    step = AxiomStep(index[axiom], subst, Imp(split.formula, successor.formula))
-    middle = ChainProof(
-        (split.formula, successor.formula), (DerivationTrace((step,)),)
-    )
-    last = _rotation_chain(h, successor, target, index)
-    return ChainProof.concat([first, middle, last])
+    axiom = Imp(dot(h, head_rn.formula, Var("x")), dot(h, Var("x"), omega_rn.formula))
+    return [
+        *_rotation_links(h, source, split),
+        _Link(axiom, {"x": beta_rn.formula}, split, successor),
+        *_rotation_links(h, successor, target),
+    ]
 
 
-def build_run_chain(
-    t: TagSystem, h: HatTemplate, word: str, max_steps: int
+def _run_chain(
+    t: TagSystem, h: HatTemplate, word: str, max_steps: int, index: dict[Formula, int]
 ) -> ChainProof:
-    """Concatenation of per-production chains along the run from `word`,
-    stopping at the halt word or when the budget runs out."""
-    index = _axiom_index(build_PT(t, h))
+    """build_run_chain with link axioms numbered by `index`."""
     path = list(tag_path(t, word, max_steps))
-    chains = [_production_chain(t, h, w, nxt, index) for w, nxt in zip(path, path[1:])]
-    if not chains:
-        start = right_nested(h, word).formula
-        return ChainProof((start,), ())
-    return ChainProof.concat(chains)
+    links = [link for w, nxt in zip(path, path[1:]) for link in _production_links(t, h, w, nxt)]
+    return _chain(right_nested(h, word).formula, links, index)
+
+
+def build_run_chain(t: TagSystem, h: HatTemplate, word: str, max_steps: int) -> ChainProof:
+    """The links of every production along the run from `word`, stopping at
+    the halt word or when the budget runs out, checkable against
+    build_PT(t, h)."""
+    return _run_chain(t, h, word, max_steps, _axiom_index(build_PT(t, h)))
 
 
 def check_run_chain(t: TagSystem, h: HatTemplate, word: str, max_steps: int) -> LemmaReport:
     """The run chain from `word` passes chain_check against the production
     calculus.  Waypoint formulas can be astronomically large as text, so the
     witness carries the decoded words instead."""
-    chain = build_run_chain(t, h, word, max_steps)
-    verdict = "pass" if chain_check(build_PT(t, h), chain) else "fail"
+    pt = build_PT(t, h)
+    chain = _run_chain(t, h, word, max_steps, _axiom_index(pt))
+    verdict = "pass" if chain_check(pt, chain) else "fail"
     words: list[str] = []
     for w in chain.waypoints:
         parsed = decode(h, w)
@@ -484,19 +451,11 @@ def _classify(
     closed once, and the bundle, unless given, is built only after the
     production side passes.  A cap overflow raises `GeneratorCapError`."""
 
-    def unclassified(generators, axioms, hat) -> list[str]:
-        return [
-            render_formula(g.formula)
-            for g in generators
-            if not any(match_instance(g.formula, ax) is not None for ax in axioms)
-            and not t_alpha_member(t, alpha, g.formula, hat, n)
-        ]
-
     pt = build_PT(t, h)
     base = Calculus("productions+input", pt.axioms + code_word(h, alpha).formulas)
     top = closure_level(base, n)
     resources = {"generators": len(top.generators), "levels": n}
-    bad = unclassified(top.generators, pt.axioms, h)
+    bad = _unclassified(t, alpha, n, top.generators, pt.axioms, h)
     if bad:
         return "fail", {"unclassified": bad}, resources, None
     if bundle is None:
@@ -504,16 +463,30 @@ def _classify(
     top_full = closure_level(bundle.full, n)
     guard = _first_short_code_level(bundle, top_full)
     limit = guard if guard is not None else n + 1
-    bad = unclassified(
-        [g for g in top_full.generators if g.level < limit],
-        bundle.pt.axioms + bundle.groups["H"],
-        bundle.hat,
-    )
+    early = [g for g in top_full.generators if g.level < limit]
+    bad = _unclassified(t, alpha, n, early, bundle.pt.axioms + bundle.groups["H"], bundle.hat)
     resources["full_generators"] = len(top_full.generators)
     resources["guard_level"] = guard
     if bad:
         return "fail", {"unclassified_full": bad}, resources, top_full
     return "pass", {}, resources, top_full
+
+
+def _unclassified(
+    t: TagSystem, alpha: str, n: int, generators: Iterable[Generator],
+    axioms: tuple, hat: HatTemplate,
+) -> list[str]:
+    """The generators, rendered, that are neither an instance of one of
+    `axioms` nor a t_alpha_member.  Membership decides the first: a level-0
+    generator is its axiom's interned formula, and forward subsumption drops
+    every later generator, and every later axiom, that is an instance of a
+    retained one."""
+    given = set(axioms)
+    return [
+        render_formula(g.formula)
+        for g in generators
+        if g.formula not in given and not t_alpha_member(t, alpha, g.formula, hat, n)
+    ]
 
 
 def _first_short_code_level(bundle: ReductionBundle, top: ClosureLevel) -> int | None:
@@ -540,8 +513,9 @@ def check_halting_equivalence(
 ) -> LemmaReport:
     """Forward: a run that halts within `budget` steps makes every target
     axiom derivable by following it: lemma 7's chain from the input's code to
-    the halt word's code, traced once by `chain_trace`, then for each axiom
-    one detachment by its halting hook.  The axiom passes exactly when
+    the halt word's code, numbered in the full reduction calculus and traced
+    once by `chain_trace`, then for each axiom one detachment by its halting
+    hook.  The axiom passes exactly when
     `check_trace` accepts that trace.  When the run does not halt within
     budget the reverse direction is undecidable at desk scale, so the
     closure characterization must hold up to level `budget` and every
@@ -556,12 +530,12 @@ def check_halting_equivalence(
     outcome = tag_run(t, input_word, budget)
     instance = f"tag={system_label(t)} input={input_word!r} budget={budget}"
     if isinstance(outcome, Halted):
-        def axiom(f: Formula) -> DerivationTrace:
-            return DerivationTrace((AxiomStep(bundle.full.axioms.index(f), {}, f),))
+        index = _axiom_index(bundle.full)
 
-        # The production calculus is the full calculus's prefix, so the run
-        # chain's axiom numbers hold in the full calculus.
-        run = build_run_chain(t, bundle.hat, input_word, outcome.steps)
+        def axiom(f: Formula) -> DerivationTrace:
+            return DerivationTrace((AxiomStep(index[f], {}, f),))
+
+        run = _run_chain(t, bundle.hat, input_word, outcome.steps, index)
         run_trace = chain_trace(axiom(run.waypoints[0]), run.links)
         artifacts = []
         for a in p0.axioms:
@@ -694,7 +668,7 @@ def _sweep_lemma6(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaRepo
         members = code_word(h, word).members
         for source in members:
             for target in members:
-                chain = _rotation_chain(h, source, target, index)
+                chain = _chain(source.formula, _rotation_links(h, source, target), index)
                 if not chain_check(calc, chain):
                     return LemmaReport(
                         "lemma6",

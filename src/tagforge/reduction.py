@@ -63,7 +63,10 @@ def words_of_length(alphabet: Sequence[str], n: int) -> list[str]:
 
 
 def rebracketing_axioms(h: HatTemplate) -> tuple[Formula, Formula, Formula, Formula]:
-    """The four dot-reassociation schemes, at the root and under a trailer."""
+    """The four dot-reassociation schemes, at the root and under a trailer.
+
+    They come in converse pairs: axiom k ^ 1 is axiom k with its sides
+    swapped, so one substitution takes either across the same rotation."""
     x, y, z, u = Var("x"), Var("y"), Var("z"), Var("u")
 
     def d(a: Formula, b: Formula) -> Formula:

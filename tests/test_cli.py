@@ -396,6 +396,8 @@ def _limit_address_space():
         ["lemma7", "--budget", "-1"],
         ["lemma11", "--budget", "-1"],
         ["lemma11", "--input", "abc"],
+        ["lemma9", "--input", "xyz", "--depth", "0"],
+        ["lemma9", "--input", "xyz", "--depth", "2"],
     ],
     ids=[
         "lemma7-empty-input",
@@ -405,6 +407,8 @@ def _limit_address_space():
         "lemma7-negative-budget",
         "lemma11-negative-budget",
         "lemma11-input-outside-alphabet",
+        "lemma9-input-outside-alphabet-depth-0",
+        "lemma9-input-outside-alphabet-depth-2",
     ],
 )
 def test_verify_bad_option_exit_1(capsys, argv):

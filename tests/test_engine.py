@@ -268,15 +268,6 @@ def test_chain_trace_detaches_along_links():
         chain_trace(start, links[1:])
 
 
-def test_chain_concat_validates_endpoints():
-    a = code_letter(DEFAULT_HAT, 1)
-    c1 = ChainProof((a,), ())
-    assert ChainProof.concat([c1, c1]) == c1
-    other = ChainProof((p("x -> x"),), ())
-    with pytest.raises(ValueError):
-        ChainProof.concat([c1, other])
-
-
 def test_naive_oracle_examples():
     out = naive_closure_oracle(K_CALC, 1, (Var("p"),))
     assert p("p -> p -> p") in out

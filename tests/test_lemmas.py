@@ -10,14 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagforge import engine, lemmas
-from tagforge.codec import CODE_VARIABLE, DEFAULT_HAT, HatTemplate, code_word, decode, right_nested
+from tagforge.codec import (
+    CODE_VARIABLE,
+    DEFAULT_HAT,
+    HatTemplate,
+    code_word,
+    decode,
+    default_hat_candidates,
+    dot,
+    dot_code,
+    right_nested,
+)
 from tagforge.engine import (
     AxiomStep,
     Calculus,
+    ChainProof,
     Derivable,
     DerivationTrace,
     DetachStep,
     chain_check,
+    chain_trace,
     check_trace,
     closure_level,
     derives,
@@ -52,7 +64,7 @@ from tagforge.lemmas import (
     shrinking_system,
 )
 from tagforge.reduction import build_PT, build_reduction, rebracketing_axioms, words_of_length
-from tagforge.tags import TagSystem, parse_tag_system, tag_run, tag_step
+from tagforge.tags import TagSystem, parse_tag_system, tag_path, tag_run, tag_step
 
 p = parse_formula
 H = DEFAULT_HAT
@@ -672,3 +684,216 @@ def test_run_lemma_dispatch():
 def test_lemma_reports_have_instances():
     for report in run_lemma("lemma11", {"budget": 4}):
         assert "tag=" in report.instance
+
+
+# --- reference chain builders -------------------------------------------------
+#
+# The builders as they were before every chain became one list of links: a
+# rotation numbered in rebracketing_axioms order and inverted through a
+# table, a ChainProof per piece, and pieces joined end to end.
+
+
+_REF_INVERSE_ROTATION = {0: 1, 1: 0, 2: 3, 3: 2}
+
+
+def _ref_is_right_nested(a):
+    while not a.is_letter:
+        if not a.left.is_letter:
+            return False
+        a = a.right
+    return True
+
+
+def _ref_chain_to_spine(h, a):
+    """(rotation number, substitution, source, target) for each rotation
+    taking `a` to its right-nested bracketing."""
+    links = []
+    if _ref_is_right_nested(a):
+        return links
+    spine = []
+    node = a
+    while not node.is_letter:
+        spine.append(node.left)
+        node = node.right
+    current = a
+    for _ in range(len(spine) - 1):
+        left, rest = current.left, current.right
+        nxt = dot_code(h, dot_code(h, left, rest.left), rest.right)
+        subst = {"x": left.formula, "y": rest.left.formula, "z": rest.right.formula}
+        links.append((0, subst, current, nxt))
+        current = nxt
+    while True:
+        left, tail = current.left, current.right
+        if left.is_letter:
+            break
+        while not left.right.is_letter:
+            new_left = dot_code(h, dot_code(h, left.left, left.right.left), left.right.right)
+            nxt = dot_code(h, new_left, tail)
+            subst = {
+                "x": left.left.formula,
+                "y": left.right.left.formula,
+                "z": left.right.right.formula,
+                "u": tail.formula,
+            }
+            links.append((2, subst, current, nxt))
+            current, left = nxt, new_left
+        head, last = left.left, left.right
+        nxt = dot_code(h, head, dot_code(h, last, tail))
+        links.append((1, {"x": head.formula, "y": last.formula, "z": tail.formula}, current, nxt))
+        current = nxt
+    return links
+
+
+def _ref_rotation_chain(h, source, target, calc):
+    links = _ref_chain_to_spine(h, source)
+    links += [
+        (_REF_INVERSE_ROTATION[k], subst, b, a)
+        for k, subst, a, b in reversed(_ref_chain_to_spine(h, target))
+    ]
+    positions = [calc.axioms.index(ax) for ax in rebracketing_axioms(h)]
+    waypoints = [source.formula] + [b.formula for _, _, _, b in links]
+    traces = tuple(
+        DerivationTrace((AxiomStep(positions[k], subst, Imp(a.formula, b.formula)),))
+        for k, subst, a, b in links
+    )
+    return ChainProof(tuple(waypoints), traces)
+
+
+def _ref_concat(chains):
+    waypoints, links = list(chains[0].waypoints), list(chains[0].links)
+    for nxt in chains[1:]:
+        assert nxt.waypoints[0] is waypoints[-1]
+        waypoints.extend(nxt.waypoints[1:])
+        links.extend(nxt.links)
+    return ChainProof(tuple(waypoints), tuple(links))
+
+
+def _ref_production_chain(t, h, word, nxt, calc):
+    d = t.deletion
+    head, beta = word[:d], word[d:]
+    omega = t.productions[word[0]]
+    source, target = right_nested(h, word), right_nested(h, nxt)
+    if not beta:
+        axiom = Imp(source.formula, target.formula)
+        link = DerivationTrace((AxiomStep(calc.axioms.index(axiom), {}, axiom),))
+        return ChainProof((source.formula, target.formula), (link,))
+    head_rn, beta_rn, omega_rn = (right_nested(h, w) for w in (head, beta, omega))
+    split = dot_code(h, head_rn, beta_rn)
+    successor = dot_code(h, beta_rn, omega_rn)
+    axiom = Imp(dot(h, head_rn.formula, Var("x")), dot(h, Var("x"), omega_rn.formula))
+    step = AxiomStep(
+        calc.axioms.index(axiom), {"x": beta_rn.formula}, Imp(split.formula, successor.formula)
+    )
+    middle = ChainProof((split.formula, successor.formula), (DerivationTrace((step,)),))
+    return _ref_concat(
+        [
+            _ref_rotation_chain(h, source, split, calc),
+            middle,
+            _ref_rotation_chain(h, successor, target, calc),
+        ]
+    )
+
+
+def _ref_run_chain(t, h, word, max_steps, calc):
+    path = list(tag_path(t, word, max_steps))
+    chains = [_ref_production_chain(t, h, w, nxt, calc) for w, nxt in zip(path, path[1:])]
+    if not chains:
+        return ChainProof((right_nested(h, word).formula,), ())
+    return _ref_concat(chains)
+
+
+def _assert_same_chain(new, ref):
+    assert len(new.waypoints) == len(ref.waypoints)
+    assert all(a is b for a, b in zip(new.waypoints, ref.waypoints))
+    assert new.links == ref.links
+
+
+@pytest.mark.parametrize("hat", ["x", "x -> x"])
+def test_lemma6_chains_match_reference(hat):
+    h = HatTemplate.from_text(hat)
+    calc = rebracketing_calculus(h)
+    for word in (w for n in range(1, 5) for w in words_of_length(("a", "b"), n)):
+        members = code_word(h, word).members
+        for source in members:
+            for target in members:
+                ref = _ref_rotation_chain(h, source, target, calc)
+                _assert_same_chain(build_chain_lemma6(h, source, target), ref)
+
+
+@pytest.mark.parametrize(
+    "system", [collatz_system(), shrinking_system(), growing_system()],
+    ids=["collatz", "shrinking", "growing"],
+)
+def test_run_chains_match_reference(system):
+    pt = build_PT(system, H)
+    words = [w for n in range(1, 5) for w in words_of_length(system.alphabet, n)]
+    for word in words:
+        for budget in range(11):
+            ref = _ref_run_chain(system, H, word, budget, pt)
+            _assert_same_chain(build_run_chain(system, H, word, budget), ref)
+
+
+@pytest.mark.parametrize(
+    "system, word",
+    [(shrinking_system(), w) for w in ("aa", "aaa", "aaaa", "ab", "bab")]
+    + [(collatz_system(), "aa"), (collatz_system(), "aaaa")],
+)
+def test_lemma11_trace_matches_reference(system, word):
+    # The run chain numbered in the full calculus, then the start axiom and
+    # each hook, each axiom found by scanning the full calculus.
+    p0 = Calculus("k+i", (WEAKENING_AXIOM, parse_formula("y -> x -> x")))
+    report = check_halting_equivalence(system, p0, word, 10)
+    assert report.verdict == "pass"
+    bundle = build_reduction(system, p0, word)
+    full = bundle.full
+
+    def axiom(f):
+        return DerivationTrace((AxiomStep(full.axioms.index(f), {}, f),))
+
+    run = _ref_run_chain(system, bundle.hat, word, report.witness["halt_steps"], full)
+    run_trace = chain_trace(axiom(run.waypoints[0]), run.links)
+    expected = [chain_trace(run_trace, (axiom(Imp(run.waypoints[-1], a)),)) for a in p0.axioms]
+    assert [trace for _, trace in report.artifacts] == expected
+
+
+# --- lemma 9 classification against the axiom scan ----------------------------
+
+
+def _unclassified_scan(t, alpha, n, generators, axioms, hat):
+    """Generators that are an instance of no axiom and no t_alpha_member,
+    each axiom tried by matching."""
+    return [
+        render_formula(g.formula)
+        for g in generators
+        if not any(match_instance(g.formula, ax) is not None for ax in axioms)
+        and not lemmas.t_alpha_member(t, alpha, g.formula, hat, n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "system, alpha, n",
+    [
+        (collatz_system(), "aaa", 2),
+        (collatz_system(), "aaaaaaa", 2),
+        (shrinking_system(), "ab", 3),
+        (growing_system(), "aa", 3),
+    ],
+    ids=["collatz-aaa", "collatz-aaaaaaa", "shrinking-ab", "growing-aa"],
+)
+@pytest.mark.parametrize("codes", [True, False], ids=["codes", "no-codes"])
+def test_unclassified_matches_axiom_scan(monkeypatch, system, alpha, n, codes):
+    # With no generator a code (t_alpha_member stubbed out), every generator
+    # that is not an axiom instance is listed, so the lists are not empty.
+    if not codes:
+        monkeypatch.setattr(lemmas, "t_alpha_member", lambda *args: False)
+    pt = build_PT(system, H)
+    base = Calculus("productions+input", pt.axioms + code_word(H, alpha).formulas)
+    bundle = build_reduction(system, K_CALC, alpha, (H,) + default_hat_candidates())
+    cases = [
+        (closure_level(base, n).generators, pt.axioms, H),
+        (closure_level(bundle.full, n).generators, bundle.pt.axioms + bundle.groups["H"], bundle.hat),
+    ]
+    for generators, axioms, hat in cases:
+        new = lemmas._unclassified(system, alpha, n, generators, axioms, hat)
+        assert new == _unclassified_scan(system, alpha, n, generators, axioms, hat)
+        assert new or codes
