@@ -2,14 +2,20 @@
 
 Exit codes: 0 success, 1 domain error (bad input data, failed check),
 2 usage error.  All JSON output is deterministic for identical invocations.
+
+Commands and options are rows of one table, `COMMANDS`, so adding an option
+is one row.  Well-formed argv is read straight from the table; `-h` and every
+usage error come from argparse, built from the same rows only then, since its
+import and first message lookup cost more than a small job's work.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .codec import HatTemplate, code_word
 from .engine import (
@@ -50,86 +56,6 @@ def _emit(obj: dict, fmt: str, out=None) -> None:
     else:
         for key, value in obj.items():
             print(f"{key}: {value}", file=out)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-    parser = argparse.ArgumentParser(
-        prog="tagforge",
-        description="Implicational calculi, tag systems, and the halting reduction.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    enc = sub.add_parser(
-        "encode", help="encode a word as its bracketing set", formatter_class=fmt
-    )
-    enc.add_argument("--word", required=True)
-    enc.add_argument("--hat", default="x", help="one-variable template")
-    enc.set_defaults(handler=_cmd_encode)
-
-    tag = sub.add_parser("tag", help="tag system operations")
-    tag_sub = tag.add_subparsers(dest="tag_command", required=True)
-    run = tag_sub.add_parser(
-        "run", help="run a tag system on a word", formatter_class=fmt
-    )
-    run.add_argument("--system", required=True, help="path to a tag file")
-    run.add_argument("--input", required=True)
-    run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    run.set_defaults(handler=_cmd_tag_run)
-    reach = tag_sub.add_parser(
-        "reach", help="does the run pass through a word?", formatter_class=fmt
-    )
-    reach.add_argument("--system", required=True)
-    reach.add_argument("--from", dest="source", required=True)
-    reach.add_argument("--to", dest="target", required=True)
-    reach.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    reach.set_defaults(handler=_cmd_tag_reach)
-
-    red = sub.add_parser(
-        "reduce", help="build the reduction bundle", formatter_class=fmt
-    )
-    red.add_argument("--system", required=True)
-    red.add_argument("--input", required=True)
-    red.add_argument("--p0", help="path to a calculus JSON (default: weakening axiom)")
-    red.set_defaults(handler=_cmd_reduce)
-
-    der = sub.add_parser(
-        "derive", help="bounded derivability query", formatter_class=fmt
-    )
-    der.add_argument("--calculus", required=True, help="path to a calculus JSON")
-    der.add_argument("--goal", required=True, help="formula text")
-    der.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    der.add_argument("--trace-out", help="write the trace JSON here when derivable")
-    der.set_defaults(handler=_cmd_derive)
-
-    chk = sub.add_parser(
-        "check-trace", help="validate a trace file", formatter_class=fmt
-    )
-    chk.add_argument("--calculus", required=True)
-    chk.add_argument("--trace", required=True)
-    chk.add_argument("--claimed", required=True, help="formula text")
-    chk.set_defaults(handler=_cmd_check_trace)
-
-    for cmd in (enc, run, reach, red, der, chk):
-        cmd.add_argument("--format", choices=("text", "json"), default="json")
-
-    ver = sub.add_parser("verify", help="run the lemma suite")
-    ver.add_argument("lemma", choices=[*LEMMA_OPTIONS, "all"], help="lemma id")
-    # Each option's `dest` is its key in lemmas.LEMMA_OPTIONS, whose defaults
-    # are the only ones.
-    options = [
-        ver.add_argument("--hat", help="one-variable template"),
-        ver.add_argument("--alphabet", dest="alphabet_size", metavar="ALPHABET", type=int, help="alphabet size for sweeps"),
-        ver.add_argument("--max-len", type=int, help="max word length for sweeps"),
-        ver.add_argument("--system", help="path to a tag file (default: built-in examples)"),
-        ver.add_argument("--input", dest="input_word", metavar="INPUT", help="input word"),
-        ver.add_argument("--p0", help="path to a calculus JSON"),
-        ver.add_argument("--budget", type=int, help="tag-run step budget (lemma7, lemma11); also the closure depth of lemma11's non-halting check"),
-        ver.add_argument("--depth", type=int, help="closure depth for structure checks"),
-    ]
-    ver.add_argument("--output", help="directory for witness files")
-    ver.set_defaults(handler=_cmd_verify, flags={a.dest: a.option_strings[0] for a in options})
-    return parser
 
 
 def _cmd_encode(args) -> int:
@@ -269,9 +195,166 @@ def _cmd_verify(args) -> int:
     return 1 if any(report.verdict == "fail" for report in reports) else 0
 
 
+class Option(NamedTuple):
+    """One argument of a command, as argparse's `add_argument` takes it.  A
+    flag that does not start with `-` names a positional argument."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], object] | None = None
+    default: object = None
+    required: bool = False
+    choices: tuple | None = None
+    metavar: str | None = None
+    help: str | None = None
+
+
+class Command(NamedTuple):
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    options: tuple[Option, ...]
+    show_defaults: bool = True  # `-h` appends each option's default to its help
+    flags: dict[str, str] | None = None  # verify's option dest -> flag, for its messages
+
+    def defaults(self) -> dict:
+        """What the command's namespace holds after its options."""
+        return {"handler": self.handler, **({} if self.flags is None else {"flags": self.flags})}
+
+
+_FORMAT = Option("--format", "format", default="json", choices=("text", "json"))
+# Each option's `dest` is its key in lemmas.LEMMA_OPTIONS, whose defaults
+# are the only ones.
+_LEMMA_OPTIONS = (
+    Option("--hat", "hat", help="one-variable template"),
+    Option("--alphabet", "alphabet_size", int, metavar="ALPHABET", help="alphabet size for sweeps"),
+    Option("--max-len", "max_len", int, help="max word length for sweeps"),
+    Option("--system", "system", help="path to a tag file (default: built-in examples)"),
+    Option("--input", "input_word", metavar="INPUT", help="input word"),
+    Option("--p0", "p0", help="path to a calculus JSON"),
+    Option("--budget", "budget", int, help="tag-run step budget (lemma7, lemma11); also the closure depth of lemma11's non-halting check"),
+    Option("--depth", "depth", int, help="closure depth for structure checks"),
+)
+
+# Command path -> command, in the order `-h` lists them.  The first word of
+# a two-word path is a group, with its help in _GROUP_HELP.
+COMMANDS: dict[tuple[str, ...], Command] = {
+    ("encode",): Command(_cmd_encode, "encode a word as its bracketing set", (
+        Option("--word", "word", required=True),
+        Option("--hat", "hat", default="x", help="one-variable template"),
+        _FORMAT,
+    )),
+    ("tag", "run"): Command(_cmd_tag_run, "run a tag system on a word", (
+        Option("--system", "system", required=True, help="path to a tag file"),
+        Option("--input", "input", required=True),
+        Option("--max-steps", "max_steps", int, DEFAULT_MAX_STEPS),
+        _FORMAT,
+    )),
+    ("tag", "reach"): Command(_cmd_tag_reach, "does the run pass through a word?", (
+        Option("--system", "system", required=True),
+        Option("--from", "source", required=True),
+        Option("--to", "target", required=True),
+        Option("--max-steps", "max_steps", int, DEFAULT_MAX_STEPS),
+        _FORMAT,
+    )),
+    ("reduce",): Command(_cmd_reduce, "build the reduction bundle", (
+        Option("--system", "system", required=True),
+        Option("--input", "input", required=True),
+        Option("--p0", "p0", help="path to a calculus JSON (default: weakening axiom)"),
+        _FORMAT,
+    )),
+    ("derive",): Command(_cmd_derive, "bounded derivability query", (
+        Option("--calculus", "calculus", required=True, help="path to a calculus JSON"),
+        Option("--goal", "goal", required=True, help="formula text"),
+        Option("--depth", "depth", int, DEFAULT_DEPTH),
+        Option("--trace-out", "trace_out", help="write the trace JSON here when derivable"),
+        _FORMAT,
+    )),
+    ("check-trace",): Command(_cmd_check_trace, "validate a trace file", (
+        Option("--calculus", "calculus", required=True),
+        Option("--trace", "trace", required=True),
+        Option("--claimed", "claimed", required=True, help="formula text"),
+        _FORMAT,
+    )),
+    ("verify",): Command(_cmd_verify, "run the lemma suite", (
+        Option("lemma", "lemma", choices=(*LEMMA_OPTIONS, "all"), help="lemma id"),
+        *_LEMMA_OPTIONS,
+        Option("--output", "output", help="directory for witness files"),
+    ), show_defaults=False, flags={o.dest: o.flag for o in _LEMMA_OPTIONS}),
+}
+_GROUP_HELP = {"tag": "tag system operations"}
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """What `_build_parser().parse_args(argv)` returns, key order included,
+    when argv is a command path, its positional values, then `--flag value`
+    pairs, each flag a full flag of the command given once, no value starting
+    with `-`, each value of its flag's type and among its choices, and each
+    required flag given; otherwise None.  Never prints or raises: argparse
+    judges what this declines, `-h` and every usage error included."""
+    path = tuple(argv[:2]) if tuple(argv[:2]) in COMMANDS else tuple(argv[:1])
+    command = COMMANDS.get(path)
+    if command is None:
+        return None
+    rest = argv[len(path):]
+    names = [o.flag for o in command.options if not o.flag.startswith("-")]
+    pairs = rest[len(names):]
+    given = dict(zip(names, rest))
+    given.update(zip(pairs[::2], pairs[1::2]))
+    options = {o.flag: o for o in command.options}
+    if (
+        len(rest) < len(names)
+        or len(pairs) % 2
+        or len(given) != len(names) + len(pairs) // 2  # a flag given twice
+        or not given.keys() <= options.keys()
+        or any(value.startswith("-") for value in given.values())
+    ):
+        return None
+    namespace = dict(zip(("command", f"{path[0]}_command"), path))
+    for o in command.options:
+        if o.flag in given:
+            try:
+                value = given[o.flag] if o.type is None else o.type(given[o.flag])
+            except ValueError:
+                return None
+            if o.choices is not None and value not in o.choices:
+                return None
+        elif o.required:
+            return None
+        else:
+            value = o.default
+        namespace[o.dest] = value
+    return SimpleNamespace(**namespace, **command.defaults())
+
+
+def _build_parser():
+    """The argparse parser of COMMANDS, for `-h` and usage errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="tagforge",
+        description="Implicational calculi, tag systems, and the halting reduction.",
+    )
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, command in COMMANDS.items():
+        group = path[:-1]
+        if group not in groups:
+            group_parser = groups[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
+            groups[group] = group_parser.add_subparsers(dest=f"{group[0]}_command", required=True)
+        formatter = argparse.ArgumentDefaultsHelpFormatter if command.show_defaults else argparse.HelpFormatter
+        sub = groups[group].add_parser(path[-1], help=command.help, formatter_class=formatter)
+        for o in command.options:
+            kwargs = {k: v for k, v in zip(o._fields[1:], o[1:]) if v is not None and v is not False}
+            if not o.flag.startswith("-"):
+                del kwargs["dest"]  # a positional's dest is its name
+            sub.add_argument(o.flag, **kwargs)
+        sub.set_defaults(**command.defaults())
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -618,11 +618,15 @@ def unread_options(lemma_id: str, keys: Iterable[str]) -> list[str]:
 def run_lemma(lemma_id: str, options: dict | None = None) -> list[LemmaReport]:
     """Run one suite item, or all of them, with the given options over the
     item's defaults in LEMMA_OPTIONS.  An option that the item does not read
-    is a ValueError; under "all" each item gets the options it reads."""
+    is a ValueError, and so is a negative budget or depth, both raised
+    before any item runs; under "all" each item gets the options it reads."""
     given = options or {}
     unread = unread_options(lemma_id, given)
     if unread:
         raise ValueError(f"{lemma_id} does not read {', '.join(unread)}")
+    for key in ("budget", "depth"):
+        if given.get(key, 0) < 0:
+            raise ValueError(f"{key} must be nonnegative")
     if lemma_id == "all":
         return [report for name, read in LEMMA_OPTIONS.items()
                 for report in run_lemma(name, {k: v for k, v in given.items() if k in read})]

@@ -10,9 +10,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tagforge
-from tagforge.cli import _emit, main
+from tagforge import cli, lemmas
+from tagforge.cli import COMMANDS, _build_parser, _emit, _read_argv, main
 from tagforge.engine import load_calculus
 from tagforge.lemmas import LEMMA_OPTIONS
 from tagforge.reduction import build_reduction, bundle_to_json
@@ -350,6 +353,212 @@ def test_usage_error_exit_2(capsys):
     assert main(["encode"]) == 2  # missing --word
 
 
+def reference_parser():
+    """The argparse tree as it was built before the option table, kept to
+    pin `-h` and usage-error output."""
+    import argparse
+
+    fmt = argparse.ArgumentDefaultsHelpFormatter
+    parser = argparse.ArgumentParser(
+        prog="tagforge",
+        description="Implicational calculi, tag systems, and the halting reduction.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    enc = sub.add_parser(
+        "encode", help="encode a word as its bracketing set", formatter_class=fmt
+    )
+    enc.add_argument("--word", required=True)
+    enc.add_argument("--hat", default="x", help="one-variable template")
+    enc.set_defaults(handler=cli._cmd_encode)
+
+    tag = sub.add_parser("tag", help="tag system operations")
+    tag_sub = tag.add_subparsers(dest="tag_command", required=True)
+    run = tag_sub.add_parser(
+        "run", help="run a tag system on a word", formatter_class=fmt
+    )
+    run.add_argument("--system", required=True, help="path to a tag file")
+    run.add_argument("--input", required=True)
+    run.add_argument("--max-steps", type=int, default=cli.DEFAULT_MAX_STEPS)
+    run.set_defaults(handler=cli._cmd_tag_run)
+    reach = tag_sub.add_parser(
+        "reach", help="does the run pass through a word?", formatter_class=fmt
+    )
+    reach.add_argument("--system", required=True)
+    reach.add_argument("--from", dest="source", required=True)
+    reach.add_argument("--to", dest="target", required=True)
+    reach.add_argument("--max-steps", type=int, default=cli.DEFAULT_MAX_STEPS)
+    reach.set_defaults(handler=cli._cmd_tag_reach)
+
+    red = sub.add_parser(
+        "reduce", help="build the reduction bundle", formatter_class=fmt
+    )
+    red.add_argument("--system", required=True)
+    red.add_argument("--input", required=True)
+    red.add_argument("--p0", help="path to a calculus JSON (default: weakening axiom)")
+    red.set_defaults(handler=cli._cmd_reduce)
+
+    der = sub.add_parser(
+        "derive", help="bounded derivability query", formatter_class=fmt
+    )
+    der.add_argument("--calculus", required=True, help="path to a calculus JSON")
+    der.add_argument("--goal", required=True, help="formula text")
+    der.add_argument("--depth", type=int, default=cli.DEFAULT_DEPTH)
+    der.add_argument("--trace-out", help="write the trace JSON here when derivable")
+    der.set_defaults(handler=cli._cmd_derive)
+
+    chk = sub.add_parser(
+        "check-trace", help="validate a trace file", formatter_class=fmt
+    )
+    chk.add_argument("--calculus", required=True)
+    chk.add_argument("--trace", required=True)
+    chk.add_argument("--claimed", required=True, help="formula text")
+    chk.set_defaults(handler=cli._cmd_check_trace)
+
+    for cmd in (enc, run, reach, red, der, chk):
+        cmd.add_argument("--format", choices=("text", "json"), default="json")
+
+    ver = sub.add_parser("verify", help="run the lemma suite")
+    ver.add_argument("lemma", choices=[*LEMMA_OPTIONS, "all"], help="lemma id")
+    options = [
+        ver.add_argument("--hat", help="one-variable template"),
+        ver.add_argument("--alphabet", dest="alphabet_size", metavar="ALPHABET", type=int, help="alphabet size for sweeps"),
+        ver.add_argument("--max-len", type=int, help="max word length for sweeps"),
+        ver.add_argument("--system", help="path to a tag file (default: built-in examples)"),
+        ver.add_argument("--input", dest="input_word", metavar="INPUT", help="input word"),
+        ver.add_argument("--p0", help="path to a calculus JSON"),
+        ver.add_argument("--budget", type=int, help="tag-run step budget (lemma7, lemma11); also the closure depth of lemma11's non-halting check"),
+        ver.add_argument("--depth", type=int, help="closure depth for structure checks"),
+    ]
+    ver.add_argument("--output", help="directory for witness files")
+    ver.set_defaults(handler=cli._cmd_verify, flags={a.dest: a.option_strings[0] for a in options})
+    return parser
+
+
+HELP_ARGV = [
+    ["-h"], ["encode", "-h"], ["tag", "-h"], ["tag", "run", "-h"], ["tag", "reach", "-h"],
+    ["reduce", "-h"], ["derive", "-h"], ["check-trace", "-h"], ["verify", "-h"],
+]
+USAGE_ERROR_ARGV = [
+    [],
+    ["tag"],
+    ["encode"],
+    ["frobnicate"],
+    ["tag", "walk"],
+    ["tag", "run", "--system", "c.tag"],
+    ["reduce", "--system"],
+    ["derive", "--calculus", "k.json", "--goal", "p -> p", "--depth", "x"],
+    ["derive", "--dep", "3"],
+    ["check-trace", "--calculus", "k.json", "--trace", "t.json"],
+    ["encode", "--word", "ace", "--bogus"],
+    ["encode", "--word", "ace", "--format", "yaml"],
+    ["verify"],
+    ["verify", "lemma99"],
+    ["verify", "lemma3", "--alphabet", "two"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV + USAGE_ERROR_ARGV, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_help_and_usage_errors_match_reference(capsys, monkeypatch, argv):
+    # Compared in the same interpreter: argparse's wording differs between
+    # Python versions.
+    monkeypatch.setenv("COLUMNS", "80")
+    code = main(argv)
+    got = (code, *capsys.readouterr())
+    with pytest.raises(SystemExit) as exit_:
+        reference_parser().parse_args(argv)
+    assert got == (int(exit_.value.code or 0), *capsys.readouterr())
+    assert code == (0 if "-h" in argv else 2)
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    # The installed `tagforge` script calls main() with no argv.
+    assert main(["verify", "lemma1"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["tagforge", "verify", "lemma1"])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
+    monkeypatch.setattr(sys, "argv", ["tagforge", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: tagforge ")
+
+
+_PATH_WORDS = ["encode", "tag", "run", "reach", "reduce", "derive", "check-trace", "verify"]
+_FLAGS = sorted({o.flag for c in COMMANDS.values() for o in c.options if o.flag.startswith("-")})
+_OTHER = ["--dep", "--depth=3", "-h", "--help", "--"]
+_VALUES = ["3", "0", "+2", "-1", " 3", "1_0", "", "text", "json", "yaml", "lemma3", "lemma99", "all", "p -> p", *_OTHER]
+_TOKENS = [*_PATH_WORDS, *_FLAGS, *_VALUES]
+
+
+@st.composite
+def _argvs(draw):
+    """A command path, its positional values, its required flags and some
+    others, mostly once, in any order, with values; then up to two tokens
+    removed or inserted anywhere."""
+    path = draw(st.sampled_from(list(COMMANDS)))
+    argv = list(path)
+    for o in draw(st.permutations(COMMANDS[path].options)):
+        values = st.sampled_from(_VALUES) if o.choices is None else st.sampled_from(o.choices) | st.sampled_from(_VALUES)
+        if not o.flag.startswith("-"):
+            argv.insert(len(path), draw(values))
+            continue
+        for _ in range(max(o.required, draw(st.sampled_from((0, 1, 1, 2))))):
+            argv += [o.flag, draw(values)]
+    for _ in range(draw(st.integers(0, 2))):
+        position = draw(st.integers(0, len(argv)))
+        token = draw(st.sampled_from([None, *_TOKENS]))
+        if token is not None:
+            argv.insert(position, token)
+        elif argv:
+            del argv[position - 1]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_read_argv_agrees_with_argparse(argv):
+    read = _read_argv(argv)
+    if read is not None:
+        try:
+            parsed = _build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse rejects {argv!r}, which the table reader read")
+        assert list(vars(read).items()) == list(vars(parsed).items())
+
+
+def test_read_argv_reads_every_golden_case():
+    from test_cli_golden import CASES
+
+    assert [case_id for case_id, argv, _, _ in CASES if _read_argv(argv) is None] == []
+
+
+def test_golden_cases_load_no_argparse(tmp_path):
+    # The benchmark times argv of these forms; argparse, and the gettext and
+    # locale imports of its first message lookup, cost more than small jobs.
+    from test_cli_golden import CASES, write_corpus
+
+    subst = write_corpus(tmp_path)
+    argvs = [[subst.get(arg, arg) for arg in argv] for _, argv, _, _ in CASES]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from tagforge.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))\n"
+    )
+    src = str(Path(tagforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [[code for _, _, code, _ in CASES], []]
+
+
 def test_domain_error_exit_1(capsys, tmp_path):
     assert main(["derive", "--calculus", "/does/not/exist.json", "--goal", "x"]) == 1
     bad = tmp_path / "bad.tag"
@@ -416,6 +625,29 @@ def test_verify_bad_option_exit_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["all", "--budget", "-1"], "error: budget must be nonnegative\n"),
+        (["lemma7", "--budget", "-1"], "error: budget must be nonnegative\n"),
+        (["lemma9", "--depth", "-1"], "error: depth must be nonnegative\n"),
+        (["all", "--depth", "-1"], "error: depth must be nonnegative\n"),
+    ],
+    ids=["all-budget", "lemma7-budget", "lemma9-depth", "all-depth"],
+)
+def test_verify_negative_budget_or_depth_runs_no_lemma(capsys, monkeypatch, argv, err):
+    # `verify all --budget -1` ran lemma1 to lemma6 before lemma7 failed
+    # with "max_steps must be nonnegative", a flag verify does not have.
+    def ran(*args):
+        raise AssertionError("a lemma ran")
+
+    for name in ("check_lemma1", "check_lemma3", "_sweep_lemma6", "check_run_chain",
+                 "check_production", "check_halting_equivalence", "check_inclusion"):
+        monkeypatch.setattr(lemmas, name, ran)
+    assert main(["verify", *argv]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_verify_lemma6_budget_checked_before_any_chain(capsys):
