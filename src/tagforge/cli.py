@@ -261,7 +261,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         Option("--input", "input", required=True),
         Option("--p0", "p0", help="path to a calculus JSON (default: weakening axiom)"),
         _FORMAT,
-    )),
+    ), show_defaults=False),  # --p0's help states its real default
     ("derive",): Command(_cmd_derive, "bounded derivability query", (
         Option("--calculus", "calculus", required=True, help="path to a calculus JSON"),
         Option("--goal", "goal", required=True, help="formula text"),

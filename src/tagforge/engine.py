@@ -627,13 +627,41 @@ def chain_trace(start: DerivationTrace, links: Sequence[DerivationTrace]) -> Der
 
 
 def chain_check(calc: Calculus, proof: ChainProof) -> bool:
-    """Validate every link via check_trace against its waypoint implication."""
+    """Validate every link via check_trace against its waypoint implication,
+    each distinct pair of link trace and claim once."""
+    return _chain_ok(calc, proof, {})
+
+
+def _step_key(st: TraceStep) -> tuple | None:
+    """All `check_trace` reads of a step; nodes are interned, so equal keys
+    are equal steps.  None for a step of another kind."""
+    if type(st) is AxiomStep:
+        return (0, st.axiom, frozenset(st.substitution.items()), st.result)
+    if type(st) is DetachStep:
+        return (1, st.major, st.minor, frozenset(st.unifier.items()), st.result)
+    return None
+
+
+def _chain_ok(calc: Calculus, proof: ChainProof, verdicts: dict) -> bool:
+    """chain_check, keeping `check_trace`'s verdict on each distinct pair of
+    link trace and claim in `verdicts`.  The verdict reads only the calculus
+    and the pair's content, so chains checked against `calc`, and no other
+    calculus, may share one `verdicts`.  A link with a step of another kind
+    is checked and not kept."""
     w, links = proof.waypoints, proof.links
     if not w or len(links) != len(w) - 1:
         return False
-    return all(
-        check_trace(calc, link, Imp(w[i], w[i + 1])) for i, link in enumerate(links)
-    )
+    for i, link in enumerate(links):
+        claimed = Imp(w[i], w[i + 1])
+        key = (tuple(map(_step_key, link.steps)), claimed)
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = check_trace(calc, link, claimed)
+            if None not in key[0]:
+                verdicts[key] = ok
+        if not ok:
+            return False
+    return True
 
 
 def naive_closure_oracle(

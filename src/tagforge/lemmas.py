@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .codec import (
-    CODE_VARIABLE,
     DEFAULT_HAT,
     AlphabeticFormula,
     HatTemplate,
@@ -37,6 +36,7 @@ from .engine import (
     DerivationTrace,
     Generator,
     GeneratorCapError,
+    _chain_ok,
     chain_check,
     chain_trace,
     check_trace,
@@ -47,9 +47,9 @@ from .formulas import (
     Formula,
     Imp,
     Var,
+    _unify_banks,
     match_instance,
     parse_formula,
-    rename_apart,
     render_formula,
     unify,
 )
@@ -178,34 +178,46 @@ def enumerate_alphabetic(
 _LEMMA3_MAX_PAIRS = 2_000_000
 
 
-def _first_unifiable(f: Imp, later: list[Imp]) -> int | None:
-    """Index of the first of `later` that unifies with f, or None; none of
-    `later` may share a variable with f.
+def _unifies(memo: dict, a: Formula, b: Formula) -> bool:
+    """Whether a, read in bank 0, unifies with b, read in bank 1: memo[a][b]."""
+    row = memo.get(a)
+    if row is None:
+        row = memo[a] = {}
+    hit = row.get(b)
+    if hit is None:
+        hit = row[b] = _unify_banks(a, 0, b, 1) is not None
+    return hit
 
-    Any unifier of two implications also unifies their left halves and their
-    right halves, so a pair whose left or right halves do not unify is
-    decided by that, and only the rest are unified whole.  Each distinct half
-    in `later` is unified with f's half at its position once."""
-    lefts: dict[Formula, bool] = {}
-    rights: dict[Formula, bool] = {}
+
+def _first_unifiable(f: Imp, later: list[Imp], memo: dict) -> int | None:
+    """Index of the first of `later` that unifies with f, f read in variable
+    bank 0 and `later` in bank 1, or None.
+
+    Any unifier of two terms also unifies each pair of their subterms at the
+    same position.  So a pair is tested first at three positions: left
+    halves, then the left and the right halves of the right halves (the
+    right halves whole when either is not an implication); only a pair that
+    passes all three is unified whole.  Each test depends on its two
+    subterms alone, so one `memo` of them serves every row of a sweep."""
+    fr = f.right
     for j, g in enumerate(later):
-        left = lefts.get(g.left)
-        if left is None:
-            left = lefts[g.left] = unify(f.left, g.left) is not None
-        if not left:
+        if not _unifies(memo, f.left, g.left):
             continue
-        right = rights.get(g.right)
-        if right is None:
-            right = rights[g.right] = unify(f.right, g.right) is not None
-        if right and unify(f, g) is not None:
+        gr = g.right
+        if type(fr) is Imp and type(gr) is Imp:
+            halves = _unifies(memo, fr.left, gr.left) and _unifies(memo, fr.right, gr.right)
+        else:
+            halves = _unifies(memo, fr, gr)
+        if halves and _unify_banks(f, 0, g, 1) is not None:
             return j
     return None
 
 
 def check_lemma3(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaReport:
-    """No two distinct code members are unifiable (on variable-disjoint
-    copies; all members share the code variable p).  Every pair is decided,
-    row by row; each member is an implication, as every circ is."""
+    """No two distinct code members are unifiable, their variables read
+    apart (all members share the code variable p).  Every pair is decided,
+    row by row, through one `_first_unifiable` memo for the whole sweep:
+    the default sweep's 110,685 pairs take 4,624 unifications."""
     _check_sweep_bounds(alphabet_size, max_len)
     instance = f"hat={h.text} alphabet={alphabet_size} max_len={max_len}"
     # The budget is checked before any member is built (an n-letter word has
@@ -219,24 +231,15 @@ def check_lemma3(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaRepor
             return LemmaReport("lemma3", instance, "inconclusive-budget", {"reason": reason})
     members = enumerate_alphabetic(h, alphabet_size, max_len)
     forms = [m.formula for m in members]
-    renamed = [rename_apart(f, {CODE_VARIABLE}) for f in forms]
+    memo: dict = {}
     for i in range(n):
-        j = _first_unifiable(forms[i], renamed[i + 1 :])
+        j = _first_unifiable(forms[i], forms[i + 1 :], memo)
         if j is not None:
             j += i + 1
-            return LemmaReport(
-                "lemma3",
-                instance,
-                "fail",
-                {
-                    "left": render_formula(forms[i]),
-                    "right": render_formula(forms[j]),
-                    "words": [members[i].word, members[j].word],
-                },
-            )
-    return LemmaReport(
-        "lemma3", instance, "pass", {}, {"formulas": n, "pairs": pairs}
-    )
+            witness = {"left": render_formula(forms[i]), "right": render_formula(forms[j]),
+                       "words": [members[i].word, members[j].word]}
+            return LemmaReport("lemma3", instance, "fail", witness)
+    return LemmaReport("lemma3", instance, "pass", {}, {"formulas": n, "pairs": pairs})
 
 
 # --- rebracketing chains ----------------------------------------------------
@@ -652,7 +655,7 @@ def run_lemma(lemma_id: str, options: dict | None = None) -> list[LemmaReport]:
 
 
 # The lemma 6 sweep checks at most this many chains.  The largest sweep in
-# use, two letters up to length 5, checks 6,710 in about 3 s.
+# use, two letters up to length 5, checks 6,710 (976 distinct links) in 0.4 s.
 _LEMMA6_MAX_CHAINS = 10_000
 
 
@@ -670,18 +673,14 @@ def _sweep_lemma6(h: HatTemplate, alphabet_size: int, max_len: int) -> LemmaRepo
     index = _axiom_index(calc)
     for word in _sweep_words(alphabet_size, max_len):
         members = code_word(h, word).members
+        # Links recur across a word's chains, never across words, whose codes
+        # differ: by default 1,952 links are 144 distinct (trace, claim) pairs.
+        verdicts: dict = {}
         for source in members:
             for target in members:
                 chain = _chain(source.formula, _rotation_links(h, source, target), index)
-                if not chain_check(calc, chain):
-                    return LemmaReport(
-                        "lemma6",
-                        instance,
-                        "fail",
-                        {
-                            "word": word,
-                            "source": render_formula(source.formula),
-                            "target": render_formula(target.formula),
-                        },
-                    )
+                if not _chain_ok(calc, chain, verdicts):
+                    witness = {"word": word, "source": render_formula(source.formula),
+                               "target": render_formula(target.formula)}
+                    return LemmaReport("lemma6", instance, "fail", witness)
     return LemmaReport("lemma6", instance, "pass", {}, {"chains": chains})

@@ -390,9 +390,8 @@ def reference_parser():
     reach.add_argument("--max-steps", type=int, default=cli.DEFAULT_MAX_STEPS)
     reach.set_defaults(handler=cli._cmd_tag_reach)
 
-    red = sub.add_parser(
-        "reduce", help="build the reduction bundle", formatter_class=fmt
-    )
+    # --p0's help states its default, so argparse does not append one.
+    red = sub.add_parser("reduce", help="build the reduction bundle")
     red.add_argument("--system", required=True)
     red.add_argument("--input", required=True)
     red.add_argument("--p0", help="path to a calculus JSON (default: weakening axiom)")

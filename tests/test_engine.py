@@ -247,6 +247,25 @@ def test_chain_check_cases():
     assert not chain_check(K_CALC, ChainProof((), ()))
 
 
+def test_chain_verdicts_kept_per_link_content():
+    a = code_letter(DEFAULT_HAT, 1)
+    sub = match_instance(Imp(a, Imp(Var("q"), a)), K)
+    step = AxiomStep(0, sub, Imp(a, Imp(Var("q"), a)))
+    good = ChainProof((a, Imp(Var("q"), a)), (DerivationTrace((step,)),))
+    # An equal step built anew, with its own substitution dict, is one key.
+    again = ChainProof(good.waypoints, (DerivationTrace((AxiomStep(0, dict(sub), step.result),)),))
+    verdicts: dict = {}
+    assert engine._chain_ok(K_CALC, good, verdicts)
+    assert engine._chain_ok(K_CALC, again, verdicts)
+    assert list(verdicts.values()) == [True]
+    # A step of another kind is rejected, never raises, and is not kept.
+    for odd in ("axiom", (0, sub, step.result), None):
+        chain = ChainProof(good.waypoints, (DerivationTrace((step, odd)),))
+        assert not engine._chain_ok(K_CALC, chain, verdicts)
+        assert not chain_check(K_CALC, chain)
+    assert list(verdicts.values()) == [True]
+
+
 def test_chain_trace_detaches_along_links():
     # Axioms a -> b, b -> c and a, with a, b, c implications over p: the
     # start's axiom step, then per link its step and a detachment.

@@ -156,7 +156,20 @@ _pool_imp = st.builds(Imp, st.sampled_from(_POOL), st.sampled_from(_POOL))
 def test_first_unifiable_matches_unify(s, ts):
     later = [rename_apart(t, set(variables(s))) for t in ts]
     expected = next((j for j, t in enumerate(later) if unify(s, t) is not None), None)
-    assert lemmas._first_unifiable(s, later) == expected
+    assert lemmas._first_unifiable(s, later, {}) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_pool_imp, min_size=2, max_size=10))
+def test_first_unifiable_rows_share_one_memo(forms):
+    # check_lemma3's sweep: each formula against every later one, every row
+    # reading and filling the same memo.
+    memo: dict = {}
+    for i, s in enumerate(forms):
+        later = forms[i + 1 :]
+        renamed = [rename_apart(t, set(variables(s))) for t in later]
+        expected = next((j for j, t in enumerate(renamed) if unify(s, t) is not None), None)
+        assert lemmas._first_unifiable(s, later, memo) == expected
 
 
 @pytest.mark.parametrize("text", ["x", "x -> x", "x -> (x -> x)"])
@@ -166,7 +179,7 @@ def test_first_unifiable_on_code_member_pairs(text):
     for s in forms:
         for t in forms:
             fresh = rename_apart(t, set(variables(s)))
-            unifiable = lemmas._first_unifiable(s, [fresh]) == 0
+            unifiable = lemmas._first_unifiable(s, [fresh], {}) == 0
             assert unifiable == (unify(s, fresh) is not None)
             decided[unifiable] += 1
     # A member unifies only with itself.
@@ -187,17 +200,19 @@ def test_lemma3_fail_report_matches_all_pairs(monkeypatch, source, target):
 
 def test_lemma3_unification_count(monkeypatch):
     calls = []
+    unify_banks = lemmas._unify_banks
 
-    def counting_unify(a, b):
+    def counting_unify_banks(*args):
         calls.append(None)
-        return unify(a, b)
+        return unify_banks(*args)
 
-    monkeypatch.setattr(lemmas, "unify", counting_unify)
+    monkeypatch.setattr(lemmas, "_unify_banks", counting_unify_banks)
+    monkeypatch.setattr(lemmas, "unify", None)  # lemma 3 calls no other unifier
     report = check_lemma3(H, 3, 4)
     assert report.verdict == "pass"
     assert report.resources == {"formulas": 471, "pairs": 110685}
-    # Every one of the 110,685 pairs was unified whole before the memo.
-    assert len(calls) <= 36_000
+    # A memo cleared for each row made 35,708 unifications; shared, 4,624.
+    assert len(calls) == 4_624
 
 
 def test_lemma6_single_rotation():
@@ -257,6 +272,97 @@ def test_lemma6_chain_budget_is_inclusive(monkeypatch):
     report = lemmas._sweep_lemma6(H, 1, 4)
     assert report.verdict == "inconclusive-budget"
     assert report.witness == {"reason": "31 chains up to length 4 exceeds budget 30"}
+
+
+@pytest.mark.parametrize("sweep,checks", [((2, 4), 144), ((1, 5), 36), ((2, 5), 976)])
+def test_lemma6_checks_each_distinct_link_once(monkeypatch, sweep, checks):
+    calls = []
+    check = engine.check_trace
+
+    def counting_check(*args):
+        calls.append(None)
+        return check(*args)
+
+    monkeypatch.setattr(engine, "check_trace", counting_check)
+    assert lemmas._sweep_lemma6(H, *sweep).verdict == "pass"
+    assert len(calls) == checks
+
+
+def _lemma6_reference(h, alphabet_size, max_len):
+    """The sweep before it shared verdicts: plain chain_check on every
+    chain.  The first failing chain's witness, or None."""
+    calc = rebracketing_calculus(h)
+    letters = "abcdefghijklmnopqrstuvwxyz"[:alphabet_size]
+    for word in (w for n in range(1, max_len + 1) for w in words_of_length(letters, n)):
+        members = code_word(h, word).members
+        for source in members:
+            for target in members:
+                if not chain_check(calc, build_chain_lemma6(h, source, target)):
+                    return {
+                        "word": word,
+                        "source": render_formula(source.formula),
+                        "target": render_formula(target.formula),
+                    }
+    return None
+
+
+def _broken_rebracketing_axioms(k):
+    """rebracketing_axioms with axiom k's consequent read with x and y
+    swapped: still an implication between codes, and a true rotation only
+    where x and y are bound alike."""
+
+    def axioms(h):
+        good = rebracketing_axioms(h)
+        swap = {"x": Var("y"), "y": Var("x")}
+        broken = Imp(good[k].left, apply_substitution(swap, good[k].right))
+        return good[:k] + (broken,) + good[k + 1 :]
+
+    return axioms
+
+
+@pytest.mark.parametrize("broken", [None, 0, 1, 2, 3])
+@pytest.mark.parametrize("sweep", [(2, 4), (1, 5)])
+def test_lemma6_sweep_matches_plain_chain_check(monkeypatch, broken, sweep):
+    if broken is not None:
+        monkeypatch.setattr(lemmas, "rebracketing_axioms", _broken_rebracketing_axioms(broken))
+    expected = _lemma6_reference(H, *sweep)
+    report = lemmas._sweep_lemma6(H, *sweep)
+    assert (expected is None) == (broken is None)
+    assert report.verdict == ("pass" if expected is None else "fail")
+    assert report.witness == (expected or {})
+
+
+@pytest.mark.parametrize("part", ["substitution", "result"])
+def test_lemma6_mutated_link_rejected_among_shared_verdicts(part):
+    calc = rebracketing_calculus(H)
+    members = code_word(H, "abab").members + code_word(H, "baba").members
+    chains = [
+        build_chain_lemma6(H, source, target)
+        for source in members
+        for target in members
+        if source.word == target.word
+    ]
+    victim = max(range(len(chains)), key=lambda i: len(chains[i].links))
+    link = chains[victim].links[0]
+    (step,) = link.steps
+    if part == "substitution":
+        mutated = AxiomStep(step.axiom, {**step.substitution, "x": Var("p")}, step.result)
+    else:
+        mutated = AxiomStep(step.axiom, step.substitution, Imp(step.result.right, step.result.left))
+    mutant = ChainProof(
+        chains[victim].waypoints, (DerivationTrace((mutated,)),) + chains[victim].links[1:]
+    )
+    # The same link, unmutated, is checked both before and after the mutant.
+    sharing = [i for i, c in enumerate(chains) if i != victim and link in c.links]
+    assert min(sharing) < victim < max(sharing)
+    verdicts: dict = {}
+    for i, chain in enumerate(chains):
+        if i == victim:
+            assert not engine._chain_ok(calc, mutant, verdicts)
+        else:
+            assert engine._chain_ok(calc, chain, verdicts)
+    assert not engine._chain_ok(calc, mutant, verdicts)
+    assert all(engine._chain_ok(calc, chains[i], verdicts) for i in sharing)
 
 
 def test_lemma7_negative_budget_raises_before_any_chain():
