@@ -213,7 +213,6 @@ class Command(NamedTuple):
     handler: Callable[[SimpleNamespace], int]
     help: str
     options: tuple[Option, ...]
-    show_defaults: bool = True  # `-h` appends each option's default to its help
     flags: dict[str, str] | None = None  # verify's option dest -> flag, for its messages
 
     def defaults(self) -> dict:
@@ -261,7 +260,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         Option("--input", "input", required=True),
         Option("--p0", "p0", help="path to a calculus JSON (default: weakening axiom)"),
         _FORMAT,
-    ), show_defaults=False),  # --p0's help states its real default
+    )),
     ("derive",): Command(_cmd_derive, "bounded derivability query", (
         Option("--calculus", "calculus", required=True, help="path to a calculus JSON"),
         Option("--goal", "goal", required=True, help="formula text"),
@@ -279,7 +278,7 @@ COMMANDS: dict[tuple[str, ...], Command] = {
         Option("lemma", "lemma", choices=(*LEMMA_OPTIONS, "all"), help="lemma id"),
         *_LEMMA_OPTIONS,
         Option("--output", "output", help="directory for witness files"),
-    ), show_defaults=False, flags={o.dest: o.flag for o in _LEMMA_OPTIONS}),
+    ), flags={o.dest: o.flag for o in _LEMMA_OPTIONS}),
 }
 _GROUP_HELP = {"tag": "tag system operations"}
 
@@ -340,10 +339,11 @@ def _build_parser():
         if group not in groups:
             group_parser = groups[()].add_parser(group[0], help=_GROUP_HELP[group[0]])
             groups[group] = group_parser.add_subparsers(dest=f"{group[0]}_command", required=True)
-        formatter = argparse.ArgumentDefaultsHelpFormatter if command.show_defaults else argparse.HelpFormatter
-        sub = groups[group].add_parser(path[-1], help=command.help, formatter_class=formatter)
+        sub = groups[group].add_parser(path[-1], help=command.help)
         for o in command.options:
             kwargs = {k: v for k, v in zip(o._fields[1:], o[1:]) if v is not None and v is not False}
+            if o.help is not None and o.default is not None:
+                kwargs["help"] += " (default: %(default)s)"
             if not o.flag.startswith("-"):
                 del kwargs["dest"]  # a positional's dest is its name
             sub.add_argument(o.flag, **kwargs)

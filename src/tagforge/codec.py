@@ -32,14 +32,15 @@ formula only saves rebuilding it.  Four caches are kept, each for a reason
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .formulas import (
     Formula,
     Imp,
     Var,
+    _SlotsRecord,
+    _record,
     apply_substitution,
     match_instance,
     parse_formula,
@@ -78,15 +79,19 @@ class HatExhaustionError(ValueError):
     """No candidate template was compatible with the target calculus."""
 
 
-@dataclass(frozen=True)
-class HatTemplate:
-    """A formula whose only variable is x; applied by substituting for x."""
+class HatTemplate(_SlotsRecord):
+    """A formula whose only variable is x; applied by substituting for x.
+    Hashed by body, as it keys the codec's caches."""
 
-    body: Formula
+    __slots__ = _fields = ("body",)
 
-    def __post_init__(self):
-        if variables(self.body) != ("x",):
+    def __init__(self, body: Formula):
+        if variables(body) != ("x",):
             raise ValueError("hat template must use exactly the variable x")
+        self._set(body)
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
 
     @classmethod
     def from_text(cls, text: str) -> "HatTemplate":
@@ -148,8 +153,7 @@ def dot(h: HatTemplate, a: Formula, b: Formula) -> Formula:
     return circ(h, Imp(Imp(a, a), a), b)
 
 
-@dataclass(frozen=True, eq=False)
-class AlphabeticFormula:
+class AlphabeticFormula(_SlotsRecord):
     """A formula together with its unique parse as letter codes joined by dot.
 
     Exactly one of `letter` (leaf) or `left`/`right` (interior node) is set.
@@ -158,11 +162,19 @@ class AlphabeticFormula:
     hash would walk the whole parse on every cache lookup.
     """
 
-    word: str
-    formula: Formula
-    letter: str | None = None
-    left: "AlphabeticFormula | None" = None
-    right: "AlphabeticFormula | None" = None
+    __slots__ = _fields = ("word", "formula", "letter", "left", "right")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        word: str,
+        formula: Formula,
+        letter: str | None = None,
+        left: AlphabeticFormula | None = None,
+        right: AlphabeticFormula | None = None,
+    ):
+        self._set(word, formula, letter, left, right)
 
     @property
     def is_letter(self) -> bool:
@@ -184,8 +196,8 @@ def dot_code(h: HatTemplate, left: AlphabeticFormula, right: AlphabeticFormula) 
     )
 
 
-@dataclass(frozen=True)
-class WordCode:
+@_record
+class WordCode(NamedTuple):
     """All bracketings encoding one nonempty word, in canonical order."""
 
     word: str

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from itertools import count, islice, product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .formulas import (
     Formula,
@@ -39,6 +38,7 @@ from .formulas import (
     _Bindings,
     _apart_names,
     _build_banks,
+    _record,
     _unify_banks,
     apply_substitution,
     canonical_rename,
@@ -95,14 +95,14 @@ class GeneratorCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
-class Calculus:
+@_record
+class Calculus(NamedTuple):
     label: str
     axioms: tuple[Formula, ...]
 
 
-@dataclass(frozen=True)
-class AxiomStep:
+@_record
+class AxiomStep(NamedTuple):
     """An instance of an axiom: result == substitution applied to the axiom."""
 
     axiom: int
@@ -110,8 +110,8 @@ class AxiomStep:
     result: Formula
 
 
-@dataclass(frozen=True)
-class DetachStep:
+@_record
+class DetachStep(NamedTuple):
     """Modus ponens on earlier steps, at the most general instance.
 
     The minor premise is renamed apart from the major's variables (via
@@ -133,8 +133,8 @@ class DetachStep:
 TraceStep = AxiomStep | DetachStep
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+@_record
+class DerivationTrace(NamedTuple):
     steps: tuple[TraceStep, ...]
 
     @property
@@ -188,8 +188,8 @@ class Generator:
         return f"Generator(formula={self.formula!r}, trace={self.trace!r}, level={self.level!r})"
 
 
-@dataclass(frozen=True)
-class ClosureLevel:
+@_record
+class ClosureLevel(NamedTuple):
     level: int
     generators: tuple[Generator, ...]
 
@@ -198,15 +198,15 @@ class ClosureLevel:
         return tuple(g.formula for g in self.generators)
 
 
-@dataclass(frozen=True)
-class Derivable:
+@_record
+class Derivable(NamedTuple):
     trace: DerivationTrace
     generator: Formula
     level: int
 
 
-@dataclass(frozen=True)
-class NotFoundWithinBudget:
+@_record
+class NotFoundWithinBudget(NamedTuple):
     depth: int
 
 
@@ -600,8 +600,8 @@ def check_trace(calc: Calculus, trace: DerivationTrace, claimed: Formula) -> boo
     return match_instance(claimed, steps[-1].result) is not None
 
 
-@dataclass(frozen=True)
-class ChainProof:
+@_record
+class ChainProof(NamedTuple):
     """Waypoints C0..Cn with, for each i, a trace of a formula having
     Ci -> Ci+1 as an instance.  n = 0 states nothing beyond C0 itself."""
 

@@ -31,6 +31,17 @@ The tuple is kept only up to `_NAMES_CAP` names; a node with more stores None,
 and `variables` walks it, so building a formula stays linear in its size.
 `render_formula` renders a subformula that occurs more than once in the
 formula's DAG to text once per call, and reuses that text.
+
+The package's records follow one rule, and are written out by hand:
+importing a record generator, and generating the methods, cost every CLI
+job more than a small job's work.  A record with no validation, no mutable
+default, no cached property and no identity equality is a
+`typing.NamedTuple` marked `@_record`: it equals only a record of its own
+type, never another record or a plain tuple with the same values, and
+hashes as the tuple of its fields.  Every other record is a `_SlotsRecord`,
+whose `__init__` checks its arguments and stores its `_fields`.  Either way
+a record refuses assignment, and its `repr` is `Name(field=value, ...)`.  No
+caller iterates, unpacks, indexes or orders a record.
 """
 
 from __future__ import annotations
@@ -69,7 +80,45 @@ class FormulaSyntaxError(ValueError):
 
 
 def _immutable(self, *args):
-    raise AttributeError(f"{type(self).__name__} nodes are interned and immutable")
+    raise AttributeError(f"{type(self).__name__} objects are immutable")
+
+
+def _same_record(self, other) -> bool:
+    return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+
+def _record(cls):
+    """A NamedTuple record, made equal only to records of its own type (see
+    the module docstring)."""
+    cls.__eq__ = _same_record
+    cls.__ne__ = lambda self, other: not _same_record(self, other)
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
+class _SlotsRecord:
+    """Base of the records that are not NamedTuples (see the module
+    docstring).  A subclass names its fields in `_fields` and its slots, and
+    its `__init__` stores them with `_set`.  Records are equal when their
+    types and fields are; they are unhashable unless a subclass says how."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __setattr__ = __delattr__ = _immutable
+    __hash__ = None
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return [getattr(self, k) for k in self._fields] == [getattr(other, k) for k in other._fields]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 # Longest variable tuple a node stores.  Above it the tuple is None: storing

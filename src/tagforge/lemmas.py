@@ -12,7 +12,6 @@ states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, NamedTuple
 
 from .codec import (
@@ -47,6 +46,7 @@ from .formulas import (
     Formula,
     Imp,
     Var,
+    _SlotsRecord,
     _unify_banks,
     match_instance,
     parse_formula,
@@ -91,14 +91,21 @@ WEAKENING_AXIOM = parse_formula("x -> y -> x")
 WEAKENING_CALCULUS = Calculus("weakening", (WEAKENING_AXIOM,))
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    lemma: str
-    instance: str
-    verdict: str  # "pass" | "fail" | "inconclusive-budget"
-    witness: dict = field(default_factory=dict)
-    resources: dict = field(default_factory=dict)
-    artifacts: tuple = ()  # (name, DerivationTrace) pairs
+class LemmaReport(_SlotsRecord):
+    __slots__ = _fields = ("lemma", "instance", "verdict", "witness", "resources", "artifacts")
+
+    def __init__(
+        self,
+        lemma: str,
+        instance: str,
+        verdict: str,  # "pass" | "fail" | "inconclusive-budget"
+        witness: dict | None = None,
+        resources: dict | None = None,
+        artifacts: tuple = (),  # (name, DerivationTrace) pairs
+    ):
+        witness = {} if witness is None else witness
+        resources = {} if resources is None else resources
+        self._set(lemma, instance, verdict, witness, resources, artifacts)
 
 
 def system_label(t: TagSystem) -> str:

@@ -15,7 +15,6 @@ calculus, so a halting run hands over exactly the target's theorems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Sequence
@@ -30,7 +29,7 @@ from .codec import (
     dot,
 )
 from .engine import Calculus, calculus_to_json
-from .formulas import Formula, Imp, Var, render_formula
+from .formulas import Formula, Imp, Var, _SlotsRecord, render_formula
 from .tags import TagSystem, render_tag_file, run_words
 
 __all__ = [
@@ -139,8 +138,7 @@ def build_H(t: TagSystem, p0: Calculus, h: HatTemplate = DEFAULT_HAT) -> Calculu
     return Calculus("halting-hooks", axioms)
 
 
-@dataclass(frozen=True)
-class ReductionBundle:
+class ReductionBundle(_SlotsRecord):
     """Everything built for one (tag system, target calculus, input) triple.
 
     `groups` holds each axiom group once, by name; `groups["H"]` is the
@@ -148,11 +146,18 @@ class ReductionBundle:
     reduction calculus and `pt` the production calculus.
     """
 
-    tag: TagSystem
-    p0: Calculus
-    hat: HatTemplate
-    input_word: str
-    groups: dict[str, tuple[Formula, ...]]
+    _fields = ("tag", "p0", "hat", "input_word", "groups")
+    __slots__ = (*_fields, "__dict__")  # the cached views live in __dict__
+
+    def __init__(
+        self,
+        tag: TagSystem,
+        p0: Calculus,
+        hat: HatTemplate,
+        input_word: str,
+        groups: dict[str, tuple[Formula, ...]],
+    ):
+        self._set(tag, p0, hat, input_word, groups)
 
     @cached_property
     def full(self) -> Calculus:

@@ -8,8 +8,9 @@ Python strings over single-character letters a-z.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
+
+from .formulas import _SlotsRecord, _record
 
 __all__ = [
     "BudgetExhausted",
@@ -35,45 +36,43 @@ class TagSystemError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TagSystem:
+class TagSystem(_SlotsRecord):
     """Alphabet in declaration order, one nonempty production per letter,
     and a positive deletion number."""
 
-    alphabet: tuple[str, ...]
-    productions: dict[str, str]
-    deletion: int
+    __slots__ = _fields = ("alphabet", "productions", "deletion")
 
-    def __post_init__(self):
-        if not self.alphabet:
+    def __init__(self, alphabet: tuple[str, ...], productions: dict[str, str], deletion: int):
+        if not alphabet:
             raise TagSystemError("alphabet must be nonempty")
-        if len(set(self.alphabet)) != len(self.alphabet):
+        if len(set(alphabet)) != len(alphabet):
             raise TagSystemError("duplicate letter in alphabet")
-        if self.deletion < 1:
+        if deletion < 1:
             raise TagSystemError("deletion number must be positive")
-        for letter in self.alphabet:
+        for letter in alphabet:
             if not _LETTER.fullmatch(letter):
                 raise TagSystemError(f"letters must be single chars a-z, got {letter!r}")
-            word = self.productions.get(letter)
+            word = productions.get(letter)
             if word is None:
                 raise TagSystemError(f"no production for letter {letter!r}")
             if not word:
                 raise TagSystemError(f"empty production for letter {letter!r}")
             for ch in word:
-                if ch not in self.productions:
+                if ch not in productions:
                     raise TagSystemError(f"unknown letter {ch!r} in production of {letter!r}")
-        if set(self.productions) != set(self.alphabet):
+        if set(productions) != set(alphabet):
             raise TagSystemError("productions must cover exactly the alphabet")
+        self._set(alphabet, productions, deletion)
 
 
-@dataclass(frozen=True)
-class Halted:
+@_record
+class Halted(NamedTuple):
     word: str
     steps: int
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
+@_record
+class BudgetExhausted(NamedTuple):
     word: str
 
 

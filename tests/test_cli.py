@@ -355,60 +355,49 @@ def test_usage_error_exit_2(capsys):
 
 def reference_parser():
     """The argparse tree as it was built before the option table, kept to
-    pin `-h` and usage-error output."""
+    pin `-h` and usage-error output.  An option's help states its default
+    only when it has help and a default other than None."""
     import argparse
 
-    fmt = argparse.ArgumentDefaultsHelpFormatter
     parser = argparse.ArgumentParser(
         prog="tagforge",
         description="Implicational calculi, tag systems, and the halting reduction.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    enc = sub.add_parser(
-        "encode", help="encode a word as its bracketing set", formatter_class=fmt
-    )
+    enc = sub.add_parser("encode", help="encode a word as its bracketing set")
     enc.add_argument("--word", required=True)
-    enc.add_argument("--hat", default="x", help="one-variable template")
+    enc.add_argument("--hat", default="x", help="one-variable template (default: x)")
     enc.set_defaults(handler=cli._cmd_encode)
 
     tag = sub.add_parser("tag", help="tag system operations")
     tag_sub = tag.add_subparsers(dest="tag_command", required=True)
-    run = tag_sub.add_parser(
-        "run", help="run a tag system on a word", formatter_class=fmt
-    )
+    run = tag_sub.add_parser("run", help="run a tag system on a word")
     run.add_argument("--system", required=True, help="path to a tag file")
     run.add_argument("--input", required=True)
     run.add_argument("--max-steps", type=int, default=cli.DEFAULT_MAX_STEPS)
     run.set_defaults(handler=cli._cmd_tag_run)
-    reach = tag_sub.add_parser(
-        "reach", help="does the run pass through a word?", formatter_class=fmt
-    )
+    reach = tag_sub.add_parser("reach", help="does the run pass through a word?")
     reach.add_argument("--system", required=True)
     reach.add_argument("--from", dest="source", required=True)
     reach.add_argument("--to", dest="target", required=True)
     reach.add_argument("--max-steps", type=int, default=cli.DEFAULT_MAX_STEPS)
     reach.set_defaults(handler=cli._cmd_tag_reach)
 
-    # --p0's help states its default, so argparse does not append one.
     red = sub.add_parser("reduce", help="build the reduction bundle")
     red.add_argument("--system", required=True)
     red.add_argument("--input", required=True)
     red.add_argument("--p0", help="path to a calculus JSON (default: weakening axiom)")
     red.set_defaults(handler=cli._cmd_reduce)
 
-    der = sub.add_parser(
-        "derive", help="bounded derivability query", formatter_class=fmt
-    )
+    der = sub.add_parser("derive", help="bounded derivability query")
     der.add_argument("--calculus", required=True, help="path to a calculus JSON")
     der.add_argument("--goal", required=True, help="formula text")
     der.add_argument("--depth", type=int, default=cli.DEFAULT_DEPTH)
     der.add_argument("--trace-out", help="write the trace JSON here when derivable")
     der.set_defaults(handler=cli._cmd_derive)
 
-    chk = sub.add_parser(
-        "check-trace", help="validate a trace file", formatter_class=fmt
-    )
+    chk = sub.add_parser("check-trace", help="validate a trace file")
     chk.add_argument("--calculus", required=True)
     chk.add_argument("--trace", required=True)
     chk.add_argument("--claimed", required=True, help="formula text")
@@ -533,7 +522,10 @@ def test_read_argv_reads_every_golden_case():
 
 def test_golden_cases_load_no_argparse(tmp_path):
     # The benchmark times argv of these forms; argparse, and the gettext and
-    # locale imports of its first message lookup, cost more than small jobs.
+    # locale imports of its first message lookup, cost more than small jobs,
+    # as do dataclasses and the inspect module it loads.  The child runs
+    # without `site`, so no .pth file can load these modules first or hide a
+    # load.
     from test_cli_golden import CASES, write_corpus
 
     subst = write_corpus(tmp_path)
@@ -543,12 +535,13 @@ def test_golden_cases_load_no_argparse(tmp_path):
         "from tagforge.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]]))\n"
+        "loaded = [m for m in ('argparse', 'gettext', 'locale', 'dataclasses', 'inspect') if m in sys.modules]\n"
+        "print(json.dumps([codes, loaded]))\n"
     )
     src = str(Path(tagforge.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
+        [sys.executable, "-S", "-c", script, json.dumps(argvs)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},

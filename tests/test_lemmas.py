@@ -1,7 +1,6 @@
 """Verification suite tests: chain builders, closure characterization,
 and halting equivalence."""
 
-import dataclasses
 import random
 import time
 
@@ -13,6 +12,7 @@ from tagforge import engine, lemmas
 from tagforge.codec import (
     CODE_VARIABLE,
     DEFAULT_HAT,
+    AlphabeticFormula,
     HatTemplate,
     code_word,
     decode,
@@ -190,7 +190,8 @@ def test_first_unifiable_on_code_member_pairs(text):
 def test_lemma3_fail_report_matches_all_pairs(monkeypatch, source, target):
     members = enumerate_alphabetic(H, 2, 3)
     patched = list(members)
-    patched[target] = dataclasses.replace(members[target], formula=members[source].formula)
+    m = members[target]
+    patched[target] = AlphabeticFormula(m.word, members[source].formula, m.letter, m.left, m.right)
     monkeypatch.setattr(lemmas, "enumerate_alphabetic", lambda h, a, n: patched)
     report = check_lemma3(H, 2, 3)
     assert report.verdict == "fail"
@@ -640,11 +641,11 @@ def _mutants(trace, calc):
                 for j in range(st.axiom + 1, st.axiom + len(axioms))
                 if axioms[j % len(axioms)] is not axioms[st.axiom]
             )
-            out["axiom"].append(with_step(i, dataclasses.replace(st, axiom=other)))
+            out["axiom"].append(with_step(i, st._replace(axiom=other)))
         else:
             if st.unifier:
-                out["unifier"].append(with_step(i, dataclasses.replace(st, unifier={})))
-            out["swap"].append(with_step(i, dataclasses.replace(st, major=st.minor, minor=st.major)))
+                out["unifier"].append(with_step(i, st._replace(unifier={})))
+            out["swap"].append(with_step(i, st._replace(major=st.minor, minor=st.major)))
     return out
 
 
@@ -688,7 +689,7 @@ def test_lemma12_detects_corruption(monkeypatch):
 
     def corrupted(t, h):
         pt = build_PT(t, h)
-        return dataclasses.replace(pt, axioms=pt.axioms + (p("x -> x"),))
+        return pt._replace(axioms=pt.axioms + (p("x -> x"),))
 
     monkeypatch.setattr(lemmas, "build_PT", corrupted)
     report = check_inclusion(t, H)
