@@ -8,14 +8,6 @@ This representation is a choice of this engine, not a theorem; its coverage is
 cross-checked empirically against `naive_closure_oracle`, which applies the
 two rules literally over a finite substitution pool.
 
-Forward subsumption, which drops a new generator that is an instance of a
-retained one, asks a discrimination tree of the retained generators for
-candidates instead of scanning them all.  Its keys keep the implication
-skeleton and which positions hold the same variable, so most generators a
-formula is not an instance of never reach `match_instance`; that still
-decides each candidate, so the index changes what the closure costs, not
-what it yields.
-
 Every generator has a `DerivationTrace` that an independent checker
 (`check_trace`) re-validates using only the term-kernel primitives.  The
 closure records each generator's two parents and builds its trace only when
@@ -87,12 +79,8 @@ class GeneratorCapError(RuntimeError):
     silently truncated."""
 
     def __init__(self, level: int, count: int, cap: int):
-        super().__init__(
-            f"generator cap exceeded at level {level}: {count} generators, cap {cap}"
-        )
-        self.level = level
-        self.count = count
-        self.cap = cap
+        super().__init__(f"generator cap exceeded at level {level}: {count} generators, cap {cap}")
+        self.level, self.count, self.cap = level, count, cap
 
 
 @_record
@@ -309,8 +297,8 @@ class _GeneralisationIndex:
     `is`).  So `candidates` returns a superset of the stored formulas that f
     is an instance of, and `match_instance` still decides each one.  Over
     the closures of the benchmark's five textbook calculi `subsumes` made
-    179,351 `match_instance` calls with keys of the implication skeleton
-    alone, and makes 19,765 with these; 2,251 of them succeed either way.
+    159,905 `match_instance` calls with keys of the implication skeleton
+    alone, and makes 14,531 with these; 883 of them succeed either way.
 
     The tree is path-compressed (a radix trie): an edge holds a run of key
     symbols, every inner node but the root branches, and the rest of a key
@@ -423,20 +411,30 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     built only when it is read, and only with its ancestry.  Mgus are unique
     up to renaming and the canonical result reads only their structure, so
     unifying a generator's canonical formula instead of its trace's final,
-    which is alpha-equal, gives the same result.  A major whose antecedent
-    and consequent share no variable detaches to its consequent whatever
-    the minor, so it is tried only until its first detaching pair, kept or
-    not; every later pair would be a duplicate.  On K+S to level 4 the
-    closure unifies 3,658 pairs (4,900 without that) and builds no step;
-    reading all 852 traces then builds 850.
+    which is alpha-equal, gives the same result.
+
+    Every detachment by a major A -> B is s(B) for a unifier s, so a major
+    is spent, and tried no more, in two cases, neither of which changes
+    what is kept.  If A and B share no variable, s leaves B as written and
+    every detachment is one formula, so the major is spent at its first
+    detaching pair, kept or not.  With subsumption, each level asks the
+    index at a major's first detaching pair whether B is an instance of a
+    retained generator.  If so, every s(B) is one too and `keep` would drop
+    it; the index only grows, so that holds at every later level, and the
+    major is spent before any result is built.  B is asked as written: keys
+    number variables by first occurrence and `match_instance` reads the
+    query's variables as constants, so names do not matter.  On K+S to
+    level 4 the closure unifies 3,388 pairs (3,658 without the second case,
+    4,900 without either) and builds no step; reading all 852 traces then
+    builds 850.  Łukasiewicz's axiom to level 6 unifies 3,497 (6,040).
 
     The retained generators, earlier levels' and this level's alike, are
     kept in a `_GeneralisationIndex`.  Its candidates are a superset of the
     generators a formula is an instance of, and `match_instance` decides
     each one, so a formula is dropped exactly when a scan of all retained
-    generators would drop it.  On K+S to level 4 that costs 5,624
-    `match_instance` calls, 357 of which find a generalisation; keys
-    without variable identity cost 75,025.  Keys stop at depth
+    generators would drop it.  On K+S to level 4 that costs 5,346
+    `match_instance` calls, 263 of which find a generalisation; keys
+    without variable identity cost 70,267.  Keys stop at depth
     `_INDEX_DEPTH`: encoded formulas are exponentially larger as trees than
     as graphs, and a bounded key costs at most 31 steps to build for any
     formula.  Deeper keys prune more candidates but cost more memory per
@@ -448,13 +446,10 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     The cap comes from the environment variable named by `CAP_ENV_VAR`
     (default `DEFAULT_GENERATOR_CAP`), and only this function reads it.
     """
-    raw = os.environ.get(CAP_ENV_VAR)
-    if not raw:
-        cap = DEFAULT_GENERATOR_CAP
-    elif raw.isascii() and raw.isdigit() and int(raw) > 0:
-        cap = int(raw)
-    else:
+    raw = os.environ.get(CAP_ENV_VAR) or str(DEFAULT_GENERATOR_CAP)
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
         raise ValueError(f"{CAP_ENV_VAR} must be a positive integer, not {raw!r}")
+    cap = int(raw)
     gens: list[Generator] = []
     seen: set[Formula] = set()
     index = _GeneralisationIndex() if subsumption else None
@@ -476,11 +471,9 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     if len(gens) > cap:
         raise GeneratorCapError(0, len(gens), cap)
     yield ClosureLevel(0, tuple(gens))
-    # For each major that has detached, whether its antecedent and its
-    # consequent share no variable.  The bindings then leave the consequent
-    # as written, so every detachment of the major is one formula, and once
-    # it has been tried the major is spent.
-    fixed: dict[int, bool] = {}
+    # For each major that has detached, whether it is spent once its current
+    # pair is tried (see above).
+    spent: dict[int, bool] = {}
     frontier = 0
     level = 0
     while True:
@@ -489,23 +482,29 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
         # pairs read only indices below `size`, so they wait for the next.
         size = len(gens)
         for mi in range(size):
-            if fixed.get(mi):
+            if spent.get(mi):
                 continue
             major = gens[mi]
             f = major.formula
+            ask = index is not None
             for ni in range(frontier if mi < frontier else 0, size):
                 minor = gens[ni]
                 bound = _premise_bindings(f, minor.formula)
                 if bound is None:
                     continue
-                if mi not in fixed:
-                    fixed[mi] = set(variables(f.left)).isdisjoint(variables(f.right))
+                if ask:
+                    ask = False
+                    if index.subsumes(f.right):
+                        spent[mi] = True
+                        break
+                if mi not in spent:
+                    spent[mi] = set(variables(f.left)).isdisjoint(variables(f.right))
                 canon = _canonical_consequent(f, bound)
                 if keep(canon):
                     gens.append(Generator._detached(canon, level, major, minor))
                     if len(gens) > cap:
                         raise GeneratorCapError(level, len(gens), cap)
-                if fixed[mi]:
+                if spent[mi]:
                     break
         frontier = size
         yield ClosureLevel(level, tuple(gens))
