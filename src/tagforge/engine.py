@@ -394,6 +394,16 @@ class _GeneralisationIndex:
         return any(match_instance(f, g) is not None for g in self.candidates(f))
 
 
+def _majors(size: int, frontier: int) -> Iterator[tuple[int, range]]:
+    """The pair order of a closure level: each major in order, with its
+    minors.  Generators 0..size-1 are the levels so far, and 0..frontier-1
+    of them were there before the last level.  A major of the last level
+    detaches every generator; an older one only the last level's, since
+    earlier levels tried its pairs with the others."""
+    for mi in range(size):
+        yield mi, range(frontier if mi < frontier else 0, size)
+
+
 def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[ClosureLevel]:
     """Yield closure levels 0, 1, 2, ... of the calculus.
 
@@ -402,7 +412,7 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
     renaming (equivalently, alpha-equivalence) and, unless `subsumption` is
     disabled, a new generator that is an instance of a retained one is
     dropped.  Output order is deterministic: majors then minors in discovery
-    order, frontier pairs only.
+    order, frontier pairs only (`_majors`).
 
     Each pair is unified once, by `_premise_bindings`, on the generators'
     formulas.  Its result is built canonical from the bindings, which is
@@ -481,13 +491,13 @@ def closure_levels(calc: Calculus, *, subsumption: bool = True) -> Iterator[Clos
         # Generators kept at this level are appended to `gens` at once; the
         # pairs read only indices below `size`, so they wait for the next.
         size = len(gens)
-        for mi in range(size):
+        for mi, minors in _majors(size, frontier):
             if spent.get(mi):
                 continue
             major = gens[mi]
             f = major.formula
             ask = index is not None
-            for ni in range(frontier if mi < frontier else 0, size):
+            for ni in minors:
                 minor = gens[ni]
                 bound = _premise_bindings(f, minor.formula)
                 if bound is None:
@@ -531,7 +541,9 @@ def closure_level(calc: Calculus, n: int, *, subsumption: bool = True) -> Closur
 
 
 def derives(calc: Calculus, goal: Formula, depth: int) -> Derivable | NotFoundWithinBudget:
-    """Search levels 0..depth for a generator having `goal` as an instance.
+    """Search levels 0..depth for a generator having `goal` as an instance,
+    as `find_generators` does, which also says how level `depth` is
+    searched rather than built.
 
     A hit yields the generator's trace (of which the goal is an instance); a
     miss is only a budget statement, never an underivability claim.
@@ -550,15 +562,81 @@ def find_generators(
     """Each goal with the first generator of levels 0..depth having it as an
     instance, or None.  The goals share one closure run, which goes only as
     deep as the goals taken so far needed, and no deeper than the level at
-    which the closure stops growing."""
-    levels = _levels_to(calc, depth)
+    which the closure stops growing.
+
+    Levels 0..depth-1 are closed by `closure_levels`.  Level `depth` is
+    never a parent, so it is searched, not built: pair by pair in the
+    closure's order (`_majors`), up to the first pair whose canonical
+    consequent has the goal as an instance.  The search keeps nothing, so it
+    needs no deduplication, no index and no cap: `GeneratorCapError` comes
+    only from levels 0..depth-1.  Every detachment by a major A -> B is
+    s(B) for some unifier s, so a goal that is not an instance of B skips
+    the major.
+
+    The first hit is the generator the closure would keep first at that
+    level, with the same parents and so the same trace.  The closure drops
+    a result, or spends a major, only where a generator it kept earlier
+    generalises the result: as a duplicate, as subsumed, or because the
+    major's every result is one.  The goal would be an instance of that
+    earlier generator, which is of an earlier level, where the goal was
+    missed, or is an earlier pair's result, where the search would have
+    stopped.
+
+    The goals of one call share what the pairs gave: each pair is unified
+    once and each result is one `Generator`, so a trace that two goals read
+    is built once.
+    """
+    levels = _levels_to(calc, max(depth - 1, 0))
     gens: tuple[Generator, ...] = ()
+    # The closed levels' generators, and how many of them are older than
+    # the last closed level.
+    frontier = 0
+    # For each major of level `depth`, once a goal reaches it: its first
+    # minor not yet tried, and its results so far, in pair order.
+    tried: list[list] | None = None
     for goal in goals:
         hit = _first_instance(gens, goal)
         while hit is None and (lvl := next(levels, None)) is not None:
             hit = _first_instance(lvl.generators[len(gens) :], goal)
-            gens = lvl.generators
+            frontier, gens = len(gens), lvl.generators
+        if hit is None and depth > 0:
+            if tried is None:
+                tried = [[minors.start, []] for _, minors in _majors(len(gens), frontier)]
+            hit = _search_level(gens, depth, goal, tried)
         yield goal, hit
+
+
+def _search_level(
+    gens: Sequence[Generator], level: int, goal: Formula, tried: list[list]
+) -> Generator | None:
+    """The first result of the closure level after `gens` that has `goal` as
+    an instance, or None (see `find_generators`), reading and extending the
+    record of tried pairs in `tried`."""
+    size = len(gens)
+    # No major is a variable: every goal is an instance of one, so it would
+    # have been found at a closed level.
+    for major, entry in zip(gens, tried):
+        start, made = entry
+        f = major.formula
+        # The skip costs a match, which a major that has tried all its pairs
+        # and made at most one result does not repay.
+        if (start < size or len(made) > 1) and match_instance(goal, f.right) is None:
+            continue
+        for g in made:
+            if match_instance(goal, g.formula) is not None:
+                return g
+        for ni in range(start, size):
+            minor = gens[ni]
+            bound = _premise_bindings(f, minor.formula)
+            if bound is None:
+                continue
+            g = Generator._detached(_canonical_consequent(f, bound), level, major, minor)
+            made.append(g)
+            if match_instance(goal, g.formula) is not None:
+                entry[0] = ni + 1
+                return g
+        entry[0] = size
+    return None
 
 
 def _first_instance(generators: Sequence[Generator], goal: Formula) -> Generator | None:

@@ -191,6 +191,55 @@ def test_derive_not_found(capsys, calcfile):
     assert obj["verdict"] == "not-found-within-budget"
 
 
+KS_JSON = {"label": "ks", "axioms": ["x -> y -> x", "(x -> y -> z) -> (x -> y) -> x -> z"]}
+
+
+# K+S closes with 2, 6, 18, 70 and 852 generators at levels 0 to 4.  The
+# first goal first appears at level 4, and the second is not a theorem.
+@pytest.mark.parametrize("goal", ["((a -> b) -> c) -> b -> c", "a -> b"])
+def test_derive_cap_bounds_only_the_levels_it_builds(capsys, monkeypatch, tmp_path, goal):
+    calc = tmp_path / "ks.json"
+    calc.write_text(json.dumps(KS_JSON))
+    argv = ["derive", "--calculus", str(calc), "--goal", goal, "--depth", "4"]
+    monkeypatch.delenv("TAGFORGE_GENERATOR_CAP", raising=False)
+    assert main(argv) == 0
+    uncapped = capsys.readouterr()
+    assert json.loads(uncapped.out).get("level", 4) == 4
+    # Level 4 is searched, not built, so only levels 0..3 count against
+    # the cap.
+    monkeypatch.setenv("TAGFORGE_GENERATOR_CAP", "100")
+    assert main(argv) == 0
+    assert capsys.readouterr() == uncapped
+    monkeypatch.setenv("TAGFORGE_GENERATOR_CAP", "50")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: generator cap exceeded at level 3: 51 generators, cap 50\n"
+
+
+def test_derive_ks_depth_5_miss_answers_in_seconds(tmp_path):
+    # Building level 5 outgrew the default cap after more than a minute.
+    calc = tmp_path / "ks.json"
+    calc.write_text(json.dumps(KS_JSON))
+    src = str(Path(tagforge.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {k: v for k, v in os.environ.items() if k != "TAGFORGE_GENERATOR_CAP"}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tagforge.cli", "derive", "--calculus", str(calc),
+         "--goal", "a -> b", "--depth", "5"],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {
+        "verdict": "not-found-within-budget", "goal": "a -> b", "depth": 5
+    }
+
+
 def test_derive_stops_when_the_closure_stops_growing(tmp_path):
     # Level 1 of {x -> x} adds nothing, so every later level is the same
     # set: a miss at any depth answers at once.  Stepping the levels to the

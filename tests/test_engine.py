@@ -691,6 +691,104 @@ def test_derive_hit_builds_only_its_ancestry(monkeypatch):
     assert check_trace(_KS, v.trace, p("(a -> a -> b) -> a -> b"))
 
 
+def test_derive_miss_searches_last_level_without_index(monkeypatch):
+    # Levels 0..3 unify 211 pairs and ask the index 115 times; level 4 is
+    # searched, and only the majors whose consequent has a -> b as an
+    # instance are tried.  Building level 4 unified 3,388 pairs and asked
+    # the index 1,180 times.
+    calls = _count_calls(monkeypatch, "_premise_bindings", "subsumes")
+    closure_level(_KS, 3)
+    assert calls == {"_premise_bindings": 211, "subsumes": 115}
+    calls.update(_premise_bindings=0, subsumes=0)
+    assert derives(_KS, p("a -> b"), 4) == NotFoundWithinBudget(4)
+    assert calls == {"_premise_bindings": 559, "subsumes": 115}
+
+
+def test_goals_hitting_one_last_level_pair_share_its_generator(monkeypatch):
+    # Neither goal is an instance of K; both are instances of K detached by
+    # K, x1 -> x2 -> x3 -> x2, the one pair of level 1.  The third goal
+    # misses, without trying the pair again.
+    goals = (p("a -> b -> c -> b"), p("(a -> a) -> b -> b -> b"), p("a -> b"))
+    calls = _count_calls(monkeypatch, "_premise_bindings", "_detach_step")
+    (_, first), (_, second), (_, third) = find_generators(K_CALC, goals, 1)
+    assert first is second and first.level == 1 and third is None
+    assert first.formula is p("x1 -> x2 -> x3 -> x2")
+    assert calls == {"_premise_bindings": 1, "_detach_step": 0}
+    # Building the trace unifies the pair's trace finals again.
+    for goal in goals[:2]:
+        assert check_trace(K_CALC, first.trace, goal)
+    second.trace
+    assert calls == {"_premise_bindings": 2, "_detach_step": 1}
+
+
+def _find_generators_reference(calc, goals, depth):
+    """`find_generators` as it was before it searched its last level: it
+    builds every level to `depth` and takes the first instance."""
+    levels = engine._levels_to(calc, depth)
+    gens = ()
+    for goal in goals:
+        hit = next((g for g in gens if match_instance(goal, g.formula) is not None), None)
+        while hit is None and (lvl := next(levels, None)) is not None:
+            new = lvl.generators[len(gens) :]
+            hit = next((g for g in new if match_instance(goal, g.formula) is not None), None)
+            gens = lvl.generators
+        yield goal, hit
+
+
+# Each textbook calculus with the deepest level the reference builds in
+# under a second: BCI's level 4 outgrows the generator cap, and TB's takes
+# seconds.
+_TEXTBOOK_DEPTHS = {"ks": (_KS, 4), "bci": (_BCI, 3), "luk": (_LUKASIEWICZ, 6),
+                    "tb": (_TB, 3), "ksp": (_KSP, 4)}
+_textbook_levels = {}
+
+
+@st.composite
+def _textbook_goal(draw, name, depth):
+    """A goal for `find_generators` on a textbook calculus at `depth`: an
+    instance of a generator that first appears at a drawn level, most
+    often the last, or a small formula, most often a miss."""
+    calc, top = _TEXTBOOK_DEPTHS[name]
+    if name not in _textbook_levels:
+        _textbook_levels[name] = list(islice(closure_levels(calc), top + 1))
+    levels = _textbook_levels[name]
+    if draw(st.integers(0, 3)) == 0:
+        return draw(_small)
+    level = draw(st.sampled_from([depth, depth, depth + 1, draw(st.integers(0, depth))]))
+    level = min(level, top)
+    before = len(levels[level - 1].generators) if level else 0
+    new = levels[level].generators[before:] or levels[level].generators
+    if not new:
+        return draw(_small)
+    g = draw(st.sampled_from(new))
+    subst = draw(st.dictionaries(st.sampled_from(variables(g.formula)), _small, max_size=3))
+    return apply_substitution(subst, g.formula)
+
+
+@st.composite
+def _textbook_query(draw):
+    name = draw(st.sampled_from(sorted(_TEXTBOOK_DEPTHS)))
+    depth = draw(st.integers(0, _TEXTBOOK_DEPTHS[name][1]))
+    goals = draw(st.lists(_textbook_goal(name, depth), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        goals.append(draw(st.sampled_from(goals)))
+    return _TEXTBOOK_DEPTHS[name][0], tuple(goals), depth
+
+
+@settings(max_examples=100, deadline=None)
+@given(_textbook_query())
+def test_find_generators_matches_building_every_level(query):
+    calc, goals, depth = query
+    got = list(find_generators(calc, goals, depth))
+    want = list(_find_generators_reference(calc, goals, depth))
+    assert [goal for goal, _ in got] == [goal for goal, _ in want] == list(goals)
+    for (_, hit), (_, ref) in zip(got, want):
+        assert (hit is None) == (ref is None)
+        if hit is not None:
+            assert (hit.level, hit.formula) == (ref.level, ref.formula)
+            assert hit.trace == ref.trace
+
+
 def test_traces_do_not_depend_on_read_order():
     forwards = closure_level(_KS, 3).generators
     backwards = closure_level(_KS, 3).generators
