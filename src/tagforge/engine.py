@@ -30,6 +30,7 @@ from .formulas import (
     _Bindings,
     _apart_names,
     _build_banks,
+    _instance_in_banks,
     _record,
     _unify_banks,
     apply_substitution,
@@ -582,9 +583,13 @@ def find_generators(
     missed, or is an earlier pair's result, where the search would have
     stopped.
 
-    The goals of one call share what the pairs gave: each pair is unified
-    once and each result is one `Generator`, so a trace that two goals read
-    is built once.
+    A pair's consequent is not built to be matched: the goal is matched
+    against the major's consequent read under the pair's bindings
+    (`_instance_in_banks`), and only the pair it hits is built, as one
+    `Generator`.  The goals of one call share a record of the pairs tried:
+    a later goal unifies again only the pairs that no goal has hit, and two
+    goals that hit one pair get its one `Generator`, so a trace that both
+    read is built once.
     """
     levels = _levels_to(calc, max(depth - 1, 0))
     gens: tuple[Generator, ...] = ()
@@ -592,7 +597,9 @@ def find_generators(
     # the last closed level.
     frontier = 0
     # For each major of level `depth`, once a goal reaches it: its first
-    # minor not yet tried, and its results so far, in pair order.
+    # minor not yet tried, and its detaching pairs so far, in pair order,
+    # each as its `Generator` once a goal has hit it, else as the minor's
+    # index.
     tried: list[list] | None = None
     for goal in goals:
         hit = _first_instance(gens, goal)
@@ -622,19 +629,30 @@ def _search_level(
         # and made at most one result does not repay.
         if (start < size or len(made) > 1) and match_instance(goal, f.right) is None:
             continue
-        for g in made:
-            if match_instance(goal, g.formula) is not None:
-                return g
+        # The goal is matched under each pair's bindings, and only the
+        # consequent it hits is built.  A pair no goal has hit yet is kept
+        # as its minor's index and unified again for a later goal.
+        for i, g in enumerate(made):
+            if type(g) is Generator:
+                if match_instance(goal, g.formula) is not None:
+                    return g
+                continue
+            minor = gens[g]
+            bound = _premise_bindings(f, minor.formula)
+            if _instance_in_banks(goal, f.right, 0, bound):
+                made[i] = Generator._detached(_canonical_consequent(f, bound), level, major, minor)
+                return made[i]
         for ni in range(start, size):
             minor = gens[ni]
             bound = _premise_bindings(f, minor.formula)
             if bound is None:
                 continue
-            g = Generator._detached(_canonical_consequent(f, bound), level, major, minor)
-            made.append(g)
-            if match_instance(goal, g.formula) is not None:
+            if _instance_in_banks(goal, f.right, 0, bound):
                 entry[0] = ni + 1
+                g = Generator._detached(_canonical_consequent(f, bound), level, major, minor)
+                made.append(g)
                 return g
+            made.append(ni)
         entry[0] = size
     return None
 
@@ -648,8 +666,8 @@ def check_trace(calc: Calculus, trace: DerivationTrace, claimed: Formula) -> boo
     formula has `claimed` as an instance.
 
     Uses only rename_apart, apply_substitution and match_instance, and calls
-    no unifier: independent of how the trace was produced.  Any malformed reference makes
-    the trace invalid rather than raising.
+    no unifier: independent of how the trace was produced.  Any malformed
+    reference makes the trace invalid rather than raising.
     """
     steps = trace.steps
     if not steps:

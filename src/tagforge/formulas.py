@@ -567,6 +567,35 @@ def _build_banks(
     return built
 
 
+def _instance_in_banks(candidate: Formula, pattern: Formula, bank: int, bound: _Bindings) -> bool:
+    """True when candidate is an instance of pattern, read in its bank under
+    the bindings, as `_build_banks` would build it with distinct names;
+    decided without building it.  Each (node, bank) pair met, a variable's
+    read through its chain, is walked once and must then meet the identical
+    subterm of candidate, as in `match_instance`."""
+    image: tuple[dict[Formula, Formula], dict[Formula, Formula]] = ({}, {})
+    stack = [(pattern, bank, candidate)]
+    while stack:
+        g, b, c = stack.pop()
+        while type(g) is Var:
+            t = bound[b].get(g.name)
+            if t is None:
+                break
+            g, b = t
+        prev = image[b].get(g)
+        if prev is not None:
+            if prev is not c:
+                return False
+            continue
+        if type(g) is Imp:
+            if type(c) is not Imp:
+                return False
+            stack.append((g.right, b, c.right))
+            stack.append((g.left, b, c.left))
+        image[b][g] = c
+    return True
+
+
 def unify(a: Formula, b: Formula) -> Substitution | None:
     """Most general unifier of a and b, or None.
 
