@@ -549,8 +549,6 @@ def derives(calc: Calculus, goal: Formula, depth: int) -> Derivable | NotFoundWi
     A hit yields the generator's trace (of which the goal is an instance); a
     miss is only a budget statement, never an underivability claim.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     ((_, hit),) = find_generators(calc, (goal,), depth)
     if hit is None:
         return NotFoundWithinBudget(depth)
@@ -563,16 +561,17 @@ def find_generators(
     """Each goal with the first generator of levels 0..depth having it as an
     instance, or None.  The goals share one closure run, which goes only as
     deep as the goals taken so far needed, and no deeper than the level at
-    which the closure stops growing.
+    which the closure stops growing.  A negative depth raises `ValueError`
+    when the first goal is asked for.
 
     Levels 0..depth-1 are closed by `closure_levels`.  Level `depth` is
     never a parent, so it is searched, not built: pair by pair in the
     closure's order (`_majors`), up to the first pair whose canonical
-    consequent has the goal as an instance.  The search keeps nothing, so it
-    needs no deduplication, no index and no cap: `GeneratorCapError` comes
-    only from levels 0..depth-1.  Every detachment by a major A -> B is
-    s(B) for some unifier s, so a goal that is not an instance of B skips
-    the major.
+    consequent has the goal as an instance.  The search keeps only the
+    generators it returns, so it needs no deduplication, no index and no
+    cap: `GeneratorCapError` comes only from levels 0..depth-1.  Every
+    detachment by a major A -> B is s(B) for some unifier s, so a goal that
+    is not an instance of B skips the major.
 
     The first hit is the generator the closure would keep first at that
     level, with the same parents and so the same trace.  The closure drops
@@ -586,74 +585,61 @@ def find_generators(
     A pair's consequent is not built to be matched: the goal is matched
     against the major's consequent read under the pair's bindings
     (`_instance_in_banks`), and only the pair it hits is built, as one
-    `Generator`.  The goals of one call share a record of the pairs tried:
-    a later goal unifies again only the pairs that no goal has hit, and two
-    goals that hit one pair get its one `Generator`, so a trace that both
-    read is built once.
+    `Generator`.  The goals of one call share the closed levels and each
+    built last-level pair's `Generator`: a built pair is decided by matching
+    its formula, without unifying again, and two goals that hit one pair get
+    its one `Generator`, so a trace that both read is built once.  A pair
+    that no goal has hit is unified again by each later goal that reaches
+    its major.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     levels = _levels_to(calc, max(depth - 1, 0))
     gens: tuple[Generator, ...] = ()
     # The closed levels' generators, and how many of them are older than
     # the last closed level.
     frontier = 0
-    # For each major of level `depth`, once a goal reaches it: its first
-    # minor not yet tried, and its detaching pairs so far, in pair order,
-    # each as its `Generator` once a goal has hit it, else as the minor's
-    # index.
-    tried: list[list] | None = None
+    # Each last-level pair a goal has hit, by (major, minor) index.
+    built: dict[tuple[int, int], Generator] = {}
     for goal in goals:
         hit = _first_instance(gens, goal)
         while hit is None and (lvl := next(levels, None)) is not None:
             hit = _first_instance(lvl.generators[len(gens) :], goal)
             frontier, gens = len(gens), lvl.generators
         if hit is None and depth > 0:
-            if tried is None:
-                tried = [[minors.start, []] for _, minors in _majors(len(gens), frontier)]
-            hit = _search_level(gens, depth, goal, tried)
+            hit = _search_level(gens, frontier, depth, goal, built)
         yield goal, hit
 
 
 def _search_level(
-    gens: Sequence[Generator], level: int, goal: Formula, tried: list[list]
+    gens: Sequence[Generator],
+    frontier: int,
+    level: int,
+    goal: Formula,
+    built: dict[tuple[int, int], Generator],
 ) -> Generator | None:
     """The first result of the closure level after `gens` that has `goal` as
-    an instance, or None (see `find_generators`), reading and extending the
-    record of tried pairs in `tried`."""
-    size = len(gens)
+    an instance, or None (see `find_generators`); a pair it builds is added
+    to `built`."""
     # No major is a variable: every goal is an instance of one, so it would
     # have been found at a closed level.
-    for major, entry in zip(gens, tried):
-        start, made = entry
+    for mi, minors in _majors(len(gens), frontier):
+        major = gens[mi]
         f = major.formula
-        # The skip costs a match, which a major that has tried all its pairs
-        # and made at most one result does not repay.
-        if (start < size or len(made) > 1) and match_instance(goal, f.right) is None:
+        if not minors or match_instance(goal, f.right) is None:
             continue
-        # The goal is matched under each pair's bindings, and only the
-        # consequent it hits is built.  A pair no goal has hit yet is kept
-        # as its minor's index and unified again for a later goal.
-        for i, g in enumerate(made):
-            if type(g) is Generator:
+        for ni in minors:
+            g = built.get((mi, ni))
+            if g is not None:
                 if match_instance(goal, g.formula) is not None:
                     return g
                 continue
-            minor = gens[g]
-            bound = _premise_bindings(f, minor.formula)
-            if _instance_in_banks(goal, f.right, 0, bound):
-                made[i] = Generator._detached(_canonical_consequent(f, bound), level, major, minor)
-                return made[i]
-        for ni in range(start, size):
             minor = gens[ni]
             bound = _premise_bindings(f, minor.formula)
-            if bound is None:
-                continue
-            if _instance_in_banks(goal, f.right, 0, bound):
-                entry[0] = ni + 1
+            if bound is not None and _instance_in_banks(goal, f.right, 0, bound):
                 g = Generator._detached(_canonical_consequent(f, bound), level, major, minor)
-                made.append(g)
+                built[mi, ni] = g
                 return g
-            made.append(ni)
-        entry[0] = size
     return None
 
 

@@ -742,9 +742,8 @@ def test_derive_miss_builds_only_the_closed_levels_consequents(monkeypatch):
 
 def test_later_goal_hits_a_pair_an_earlier_goal_missed(monkeypatch):
     # a -> b is an instance of K's consequent, so it tries the one pair of
-    # level 1 and misses it; the pair is kept as its minor's index.  The
-    # second goal unifies it again and builds its consequent, which the
-    # third goal then shares.
+    # level 1 and misses it; the pair is not built.  The second goal unifies
+    # it again and builds its consequent, which the third goal then shares.
     goals = (p("a -> b"), p("a -> b -> c -> b"), p("(a -> a) -> b -> b -> b"))
     calls = _count_calls(monkeypatch, "_premise_bindings", "_canonical_consequent")
     got = list(find_generators(K_CALC, goals, 1))
@@ -755,6 +754,14 @@ def test_later_goal_hits_a_pair_an_earlier_goal_missed(monkeypatch):
     assert want[0][1] is None
     for (_, hit), (_, ref) in zip(got[1:], want[1:]):
         assert (hit.level, hit.formula, hit.trace) == (ref.level, ref.formula, ref.trace)
+
+
+def test_find_generators_rejects_a_negative_depth():
+    goals = (p("a -> b -> a"),)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        list(find_generators(K_CALC, goals, -1))
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        derives(K_CALC, goals[0], -1)
 
 
 def test_goals_after_a_miss_match_building_every_level():

@@ -680,6 +680,24 @@ def test_lemma12_collatz():
     assert report.witness["axioms"] == 28
 
 
+def test_lemma12_goals_share_one_last_level_generator(monkeypatch):
+    # Every axiom is an instance of x1 -> x2 -> x3 -> x2, the one pair of
+    # the weakening calculus's level 1.  The first goal unifies and builds
+    # it; the other 27 match the built generator, and reading its trace
+    # unifies the pair once more.
+    calls = dict.fromkeys(("_premise_bindings", "_canonical_consequent", "_detach_step"), 0)
+    for name in calls:
+
+        def counting(*args, name=name, real=getattr(engine, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+    report = check_inclusion(collatz_system(), H)
+    assert report.verdict == "pass" and report.witness["axioms"] == 28
+    assert calls == {"_premise_bindings": 2, "_canonical_consequent": 1, "_detach_step": 1}
+
+
 def test_lemma12_detects_corruption(monkeypatch):
     # x -> x is not derivable from weakening, so a corrupted axiom must fail
     sub = match_instance(p("x -> x"), WEAKENING_AXIOM)
