@@ -27,10 +27,10 @@ from .formulas import (
     Imp,
     Substitution,
     Var,
+    _Binding,
     _Bindings,
     _apart_names,
     _build_banks,
-    _instance_in_banks,
     _record,
     _unify_banks,
     apply_substitution,
@@ -199,15 +199,28 @@ class NotFoundWithinBudget(NamedTuple):
     depth: int
 
 
-def _premise_bindings(major: Formula, minor: Formula) -> _Bindings | None:
+def _premise_bindings(
+    major: Formula, minor: Formula, rigid: _Binding | None = None
+) -> _Bindings | None:
     """How the pair detaches, or None when it does not: the bindings that
     unify the major's antecedent, read in variable bank 0, with the minor,
     read in bank 1, so the two formulas' variables are distinct without
     renaming either.  The engine's one unification; the builders below
-    read its bindings."""
+    read its bindings.  Seeded with `rigid` (`_goal_seed`), it decides
+    whether the pair's consequent has the goal as an instance."""
     if type(major) is not Imp:
         return None
-    return _unify_banks(major.left, 0, minor, 1)
+    return _unify_banks(major.left, 0, minor, 1, rigid)
+
+
+def _goal_seed(goal: Formula, major: Imp) -> _Binding | None:
+    """The major's consequent bound to `goal`, read in the rigid bank 2, as
+    bank 0 bindings; None when the goal is not an instance of it."""
+    theta = match_instance(goal, major.right)
+    if theta is None:
+        return None
+    # `match_instance` omits a variable that the goal has in its own place.
+    return {v: (theta.get(v, Var(v)), 2) for v in variables(major.right)}
 
 
 def _canonical_consequent(major: Imp, bound: _Bindings) -> Formula:
@@ -582,15 +595,16 @@ def find_generators(
     missed, or is an earlier pair's result, where the search would have
     stopped.
 
-    A pair's consequent is not built to be matched: the goal is matched
-    against the major's consequent read under the pair's bindings
-    (`_instance_in_banks`), and only the pair it hits is built, as one
+    A pair's consequent is not built to be matched.  The goal's match
+    against B (`_goal_seed`), made at the major's first pair that no goal
+    has hit, with the goal's variables held rigid, seeds each pair's
+    unification; as every unifier factors through the most general one, it
+    succeeds exactly when the pair's consequent has the goal as an
+    instance.  Only a hit is unified again, unseeded, and built, as one
     `Generator`.  The goals of one call share the closed levels and each
-    built last-level pair's `Generator`: a built pair is decided by matching
-    its formula, without unifying again, and two goals that hit one pair get
-    its one `Generator`, so a trace that both read is built once.  A pair
-    that no goal has hit is unified again by each later goal that reaches
-    its major.
+    built last-level `Generator`: a built pair is decided by matching its
+    formula, and two goals that hit one pair share its trace.  A pair that
+    no goal has hit is unified again by each later goal that reaches it.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -626,17 +640,19 @@ def _search_level(
     for mi, minors in _majors(len(gens), frontier):
         major = gens[mi]
         f = major.formula
-        if not minors or match_instance(goal, f.right) is None:
-            continue
+        seed = None
         for ni in minors:
             g = built.get((mi, ni))
             if g is not None:
                 if match_instance(goal, g.formula) is not None:
                     return g
                 continue
+            if seed is None and (seed := _goal_seed(goal, f)) is None:
+                break
             minor = gens[ni]
-            bound = _premise_bindings(f, minor.formula)
-            if bound is not None and _instance_in_banks(goal, f.right, 0, bound):
+            if _premise_bindings(f, minor.formula, seed) is not None:
+                # The trace records the pair's most general unifier.
+                bound = _premise_bindings(f, minor.formula)
                 g = Generator._detached(_canonical_consequent(f, bound), level, major, minor)
                 built[mi, ni] = g
                 return g

@@ -6,9 +6,10 @@ unification (with occurs check), one-sided instance matching, and renaming
 helpers.
 
 There is one unification loop and one walk that builds a term under its
-bindings.  They read each term in one of two variable banks, so `unify`
-(both formulas in one bank) and the engine's condensed detachment (the
-minor premise in the other bank, in place of a renamed copy) share them.
+bindings.  They read each term in a variable bank, so `unify` (both
+formulas in one bank), the engine's condensed detachment (the minor
+premise in another, in place of a renamed copy) and its goal search (the
+goal in a third bank, which is never bound) share them.
 Every walk here keeps an explicit stack, so nesting depth is bounded by
 memory, not by the interpreter's recursion limit.
 
@@ -450,21 +451,27 @@ def apply_substitution(subst: Substitution, f: Formula) -> Formula:
     return built[0]
 
 
-# Unification reads each term in one of two variable banks, 0 and 1: the
-# same name in different banks is two variables.  `unify` reads both formulas
-# in bank 0, so shared names are shared variables; condensed detachment reads
-# the minor premise in bank 1, which keeps the premises apart without a
-# renamed copy.  A binding maps a variable of one bank to a term read in a
-# bank: bound[bank][name] = (term, its bank).  Bindings are triangular, not
-# resolved as they are made, so a variable is read by following its chain.
-_Bindings = tuple[dict[str, tuple[Formula, int]], dict[str, tuple[Formula, int]]]
+# Unification reads each term in one of three variable banks, 0, 1 and 2:
+# the same name in different banks is two variables.  `unify` reads both
+# formulas in bank 0, so shared names are shared variables; condensed
+# detachment reads the minor premise in bank 1, which keeps the premises
+# apart without a renamed copy.  Bank 2 is rigid: its variables are never
+# bound, so a goal read there is a constant.  A binding maps a variable to a
+# term read in a bank: bound[bank][name] = (term, its bank); bank 2's dict is
+# `_RIGID`, empty.  Bindings are triangular, not resolved as they are made,
+# so a variable is read by following its chain.
+_Binding = dict[str, tuple[Formula, int]]
+_Bindings = tuple[_Binding, _Binding, _Binding]
+_RIGID: _Binding = {}
 
 
-def _unify_banks(s: Formula, sb: int, t: Formula, tb: int) -> _Bindings | None:
+def _unify_banks(
+    s: Formula, sb: int, t: Formula, tb: int, first: _Binding | None = None
+) -> _Bindings | None:
     """Most general unifier of s, read in bank sb, and t, read in bank tb,
-    as bindings; None when there is none.  Shared subterm pairs are unified
-    once."""
-    bound: _Bindings = ({}, {})
+    as bindings; None when there is none.  Bank 0 starts with a copy of
+    `first`, when given.  Shared subterm pairs are unified once."""
+    bound: _Bindings = ({} if first is None else dict(first), {}, _RIGID)
     seen: set[tuple[Imp, int, Imp, int]] = set()
     stack = [(s, sb, t, tb)]
     while stack:
@@ -481,15 +488,18 @@ def _unify_banks(s: Formula, sb: int, t: Formula, tb: int) -> _Bindings | None:
             t, tb = nxt
         if s is t and sb == tb:
             continue
-        if type(t) is Var:
+        if type(t) is Var and tb != 2:
             # Bind the right-hand variable so left-side names survive.
             if type(s) is not Var and _occurs(t.name, tb, s, sb, bound):
                 return None
             bound[tb][t.name] = (s, sb)
-        elif type(s) is Var:
+        elif type(s) is Var and sb != 2:
             if _occurs(s.name, sb, t, tb, bound):
                 return None
             bound[sb][s.name] = (t, tb)
+        elif type(s) is Var or type(t) is Var:
+            # A rigid variable met an implication or another rigid variable.
+            return None
         else:
             key = (s, sb, t, tb)
             if key in seen:
@@ -534,7 +544,7 @@ def _build_banks(
     """Each root, read in its bank, under the bindings.  An unbound variable
     v of bank b becomes name(v, b), asked once per variable and bank in
     first-occurrence order, roots taken in order.  The roots share one walk:
-    each implication is built once per bank."""
+    each implication is built once per bank.  Bank 2 is never read."""
     names: tuple[dict[Var, Var], dict[Var, Var]] = ({}, {})
     memo: tuple[dict[Imp, Formula], dict[Imp, Formula]] = ({}, {})
     built: list[Formula] = []
@@ -565,35 +575,6 @@ def _build_banks(
                 continue
         built.append(v)
     return built
-
-
-def _instance_in_banks(candidate: Formula, pattern: Formula, bank: int, bound: _Bindings) -> bool:
-    """True when candidate is an instance of pattern, read in its bank under
-    the bindings, as `_build_banks` would build it with distinct names;
-    decided without building it.  Each (node, bank) pair met, a variable's
-    read through its chain, is walked once and must then meet the identical
-    subterm of candidate, as in `match_instance`."""
-    image: tuple[dict[Formula, Formula], dict[Formula, Formula]] = ({}, {})
-    stack = [(pattern, bank, candidate)]
-    while stack:
-        g, b, c = stack.pop()
-        while type(g) is Var:
-            t = bound[b].get(g.name)
-            if t is None:
-                break
-            g, b = t
-        prev = image[b].get(g)
-        if prev is not None:
-            if prev is not c:
-                return False
-            continue
-        if type(g) is Imp:
-            if type(c) is not Imp:
-                return False
-            stack.append((g.right, b, c.right))
-            stack.append((g.left, b, c.left))
-        image[b][g] = c
-    return True
 
 
 def unify(a: Formula, b: Formula) -> Substitution | None:

@@ -707,18 +707,21 @@ def test_derive_miss_searches_last_level_without_index(monkeypatch):
 def test_goals_hitting_one_last_level_pair_share_its_generator(monkeypatch):
     # Neither goal is an instance of K; both are instances of K detached by
     # K, x1 -> x2 -> x3 -> x2, the one pair of level 1.  The third goal
-    # misses, without trying the pair again.
+    # misses, without trying the pair again.  The first goal decides the
+    # pair with the goal read rigid, and unifies the hit once more without
+    # it to build the generator: two calls where matching the goal under
+    # the pair's plain bindings made one.
     goals = (p("a -> b -> c -> b"), p("(a -> a) -> b -> b -> b"), p("a -> b"))
     calls = _count_calls(monkeypatch, "_premise_bindings", "_detach_step")
     (_, first), (_, second), (_, third) = find_generators(K_CALC, goals, 1)
     assert first is second and first.level == 1 and third is None
     assert first.formula is p("x1 -> x2 -> x3 -> x2")
-    assert calls == {"_premise_bindings": 1, "_detach_step": 0}
+    assert calls == {"_premise_bindings": 2, "_detach_step": 0}
     # Building the trace unifies the pair's trace finals again.
     for goal in goals[:2]:
         assert check_trace(K_CALC, first.trace, goal)
     second.trace
-    assert calls == {"_premise_bindings": 2, "_detach_step": 1}
+    assert calls == {"_premise_bindings": 3, "_detach_step": 1}
 
 
 def test_derive_miss_builds_only_the_closed_levels_consequents(monkeypatch):
@@ -744,10 +747,12 @@ def test_later_goal_hits_a_pair_an_earlier_goal_missed(monkeypatch):
     # a -> b is an instance of K's consequent, so it tries the one pair of
     # level 1 and misses it; the pair is not built.  The second goal unifies
     # it again and builds its consequent, which the third goal then shares.
+    # The hit is unified twice, with the goal read rigid and then without
+    # it, so three calls where matching under plain bindings made two.
     goals = (p("a -> b"), p("a -> b -> c -> b"), p("(a -> a) -> b -> b -> b"))
     calls = _count_calls(monkeypatch, "_premise_bindings", "_canonical_consequent")
     got = list(find_generators(K_CALC, goals, 1))
-    assert calls == {"_premise_bindings": 2, "_canonical_consequent": 1}
+    assert calls == {"_premise_bindings": 3, "_canonical_consequent": 1}
     (_, first), (_, second), (_, third) = got
     assert first is None and second is third and second.formula is p("x1 -> x2 -> x3 -> x2")
     want = list(_find_generators_reference(K_CALC, goals, 1))
@@ -851,22 +856,25 @@ _detaching = {}
 
 def _detaching_pairs(name):
     """Each detaching pair of closure levels 0..2 of a textbook calculus:
-    the major and the pair's bindings."""
+    the major, the minor and the pair's bindings."""
     if name not in _detaching:
         fs = [g.formula for g in closure_level(_TEXTBOOK_DEPTHS[name][0], 2).generators]
-        pairs = ((f, engine._premise_bindings(f, m)) for f in fs for m in fs)
-        _detaching[name] = [(f, bound) for f, bound in pairs if bound is not None]
+        pairs = ((f, m, engine._premise_bindings(f, m)) for f in fs for m in fs)
+        _detaching[name] = [pair for pair in pairs if pair[2] is not None]
     return _detaching[name]
 
 
-def _matches_built_consequent(goal, major, bound):
-    got = formulas._instance_in_banks(goal, major.right, 0, bound)
+def _matches_built_consequent(goal, major, minor, bound):
+    """The last-level search's decision of the pair, seeded as it seeds it,
+    and whether the goal is an instance of the pair's built consequent."""
+    seed = engine._goal_seed(goal, major)
+    got = seed is not None and engine._premise_bindings(major, minor, seed) is not None
     want = match_instance(goal, engine._canonical_consequent(major, bound)) is not None
     return got, want
 
 
-# Goal variables include canonical names, which the matcher must read as
-# the goal's own, not as the consequent's.
+# Goal variables include canonical names, which the unification must read
+# as the goal's own, rigid, not as the consequent's.
 _goal_small = st.recursive(
     st.builds(Var, st.sampled_from(["a", "b", "x1", "x2"])),
     lambda f: st.builds(Imp, f, f),
@@ -879,7 +887,7 @@ def _pair_and_goal(draw):
     """A detaching pair and a goal: the pair's result, an instance of it, a
     small formula, or a goal with a repeated variable."""
     name = draw(st.sampled_from(sorted(_TEXTBOOK_DEPTHS)))
-    major, bound = draw(st.sampled_from(_detaching_pairs(name)))
+    major, minor, bound = draw(st.sampled_from(_detaching_pairs(name)))
     result = engine._canonical_consequent(major, bound)
     names = variables(result)
     kind = draw(st.integers(0, 4))
@@ -897,25 +905,28 @@ def _pair_and_goal(draw):
     else:
         t = draw(_goal_small)
         goal = Imp(t, t)
-    return goal, major, bound
+    return goal, major, minor, bound
 
 
 @settings(max_examples=500, deadline=None)
 @given(_pair_and_goal())
-def test_instance_in_banks_matches_the_built_consequent(case):
+def test_rigid_goal_unification_matches_the_built_consequent(case):
     got, want = _matches_built_consequent(*case)
     assert got == want
 
 
 @pytest.mark.parametrize("name", sorted(_TEXTBOOK_DEPTHS))
-def test_instance_in_banks_on_every_detaching_pair(name):
+def test_rigid_goal_unification_on_every_detaching_pair(name):
     a, b = Var("a"), Var("b")
     hits = Counter()
-    for major, bound in _detaching_pairs(name):
+    for major, minor, bound in _detaching_pairs(name):
         result = engine._canonical_consequent(major, bound)
         collapsed = apply_substitution(dict.fromkeys(variables(result), a), result)
-        for goal in (result, collapsed, Imp(a, a), Imp(a, b), Imp(Imp(a, b), Imp(b, a))):
-            got, want = _matches_built_consequent(goal, major, bound)
+        # The major's consequent as written is a goal whose every variable
+        # is the consequent's own, each bound to itself in the seed.
+        goals = (result, collapsed, major.right, Imp(a, a), Imp(a, b), Imp(Imp(a, b), Imp(b, a)))
+        for goal in goals:
+            got, want = _matches_built_consequent(goal, major, minor, bound)
             assert got == want
             hits[got] += 1
     assert hits[True] and hits[False]

@@ -33,6 +33,7 @@ from tagforge.engine import (
     check_trace,
     closure_level,
     derives,
+    find_generators,
 )
 from tagforge.formulas import (
     Imp,
@@ -48,6 +49,7 @@ from tagforge.formulas import (
 from tagforge.lemmas import (
     LemmaReport,
     WEAKENING_AXIOM,
+    WEAKENING_CALCULUS,
     _first_short_code_level,
     build_chain_lemma6,
     build_run_chain,
@@ -684,7 +686,9 @@ def test_lemma12_goals_share_one_last_level_generator(monkeypatch):
     # Every axiom is an instance of x1 -> x2 -> x3 -> x2, the one pair of
     # the weakening calculus's level 1.  The first goal unifies and builds
     # it; the other 27 match the built generator, and reading its trace
-    # unifies the pair once more.
+    # unifies the pair once more.  The first goal unifies the pair twice,
+    # with the goal read rigid and then without it, so three calls where
+    # matching the goal under plain bindings made two.
     calls = dict.fromkeys(("_premise_bindings", "_canonical_consequent", "_detach_step"), 0)
     for name in calls:
 
@@ -695,7 +699,28 @@ def test_lemma12_goals_share_one_last_level_generator(monkeypatch):
         monkeypatch.setattr(engine, name, counting)
     report = check_inclusion(collatz_system(), H)
     assert report.verdict == "pass" and report.witness["axioms"] == 28
-    assert calls == {"_premise_bindings": 2, "_canonical_consequent": 1, "_detach_step": 1}
+    assert calls == {"_premise_bindings": 3, "_canonical_consequent": 1, "_detach_step": 1}
+
+
+def test_lemma12_goals_after_the_first_match_only_the_built_generator(monkeypatch):
+    # Each goal is matched against the weakening axiom, level 0.  The first
+    # is then matched against the axiom's consequent, once, before it
+    # detaches the one level-1 pair; the other 27 match only that pair's
+    # built generator.  Matching the consequent for every goal, before its
+    # built pairs, made 83 calls.
+    calls = 0
+    real = engine.match_instance
+
+    def counting(candidate, pattern):
+        nonlocal calls
+        calls += 1
+        return real(candidate, pattern)
+
+    monkeypatch.setattr(engine, "match_instance", counting)
+    goals = build_PT(collatz_system(), H).axioms
+    hits = [hit for _, hit in find_generators(WEAKENING_CALCULUS, goals, 1)]
+    assert len(goals) == 28 and all(hit is hits[0] and hit.level == 1 for hit in hits)
+    assert calls == 28 + 1 + 27 == 56
 
 
 def test_lemma12_detects_corruption(monkeypatch):
