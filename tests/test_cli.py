@@ -240,6 +240,27 @@ def test_derive_ks_depth_5_miss_answers_in_seconds(tmp_path):
     }
 
 
+def test_derive_hit_at_a_depth_past_sys_maxsize(capsys, tmp_path):
+    # The closure was cut at depth + 1 levels by islice, which rejects a
+    # stop past sys.maxsize: this exited 1 with islice's message.
+    calc = tmp_path / "ks.json"
+    calc.write_text(json.dumps(KS_JSON))
+    huge = "99999999999999999999"
+    outs = {}
+    for depth in ("4", huge):
+        trace = tmp_path / f"trace-{depth}.json"
+        argv = ["derive", "--calculus", str(calc), "--goal", "a -> a", "--depth", depth,
+                "--trace-out", str(trace)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outs[depth] = (json.loads(captured.out), trace.read_bytes())
+    (hit, trace), (deep_hit, deep_trace) = outs["4"], outs[huge]
+    assert hit["verdict"] == "derivable" and deep_hit["depth"] == int(huge)
+    assert {**deep_hit, "depth": 4} == hit
+    assert deep_trace == trace
+
+
 def test_derive_stops_when_the_closure_stops_growing(tmp_path):
     # Level 1 of {x -> x} adds nothing, so every later level is the same
     # set: a miss at any depth answers at once.  Stepping the levels to the

@@ -694,14 +694,17 @@ def test_derive_hit_builds_only_its_ancestry(monkeypatch):
 def test_derive_miss_searches_last_level_without_index(monkeypatch):
     # Levels 0..3 unify 211 pairs and ask the index 115 times; level 4 is
     # searched, and only the majors whose consequent has a -> b as an
-    # instance are tried.  Building level 4 unified 3,388 pairs and asked
-    # the index 1,180 times.
+    # instance are tried.  Of their pairs, those whose minor has an
+    # implication where the antecedent has a or b are rejected by their
+    # shapes without a unification: 219 calls where unifying every pair
+    # made 559.  Building level 4 unified 3,388 pairs and asked the index
+    # 1,180 times.
     calls = _count_calls(monkeypatch, "_premise_bindings", "subsumes")
     closure_level(_KS, 3)
     assert calls == {"_premise_bindings": 211, "subsumes": 115}
     calls.update(_premise_bindings=0, subsumes=0)
     assert derives(_KS, p("a -> b"), 4) == NotFoundWithinBudget(4)
-    assert calls == {"_premise_bindings": 559, "subsumes": 115}
+    assert calls == {"_premise_bindings": 219, "subsumes": 115}
 
 
 def test_goals_hitting_one_last_level_pair_share_its_generator(monkeypatch):
@@ -728,31 +731,35 @@ def test_derive_miss_builds_only_the_closed_levels_consequents(monkeypatch):
     # The last level matches the goal under each pair's bindings and builds
     # no consequent that misses, so a miss builds exactly the consequents of
     # the levels it closes.  Building each pair's consequent to match the
-    # goal against it built 1,126 on BCI and 400 on K+S.
+    # goal against it built 1,126 on BCI and 400 on K+S.  The search unifies
+    # only the pairs that the shape masks do not reject: 353 on BCI and 219
+    # on K+S, where unifying every pair made 1,126 and 559.
     calls = _count_calls(monkeypatch, "_premise_bindings", "_canonical_consequent")
     closure_level(_BCI, 2)
     assert calls == {"_premise_bindings": 64, "_canonical_consequent": 64}
     calls.update(_premise_bindings=0, _canonical_consequent=0)
     assert derives(_BCI, p("(a -> b) -> b -> a"), 3) == NotFoundWithinBudget(3)
-    assert calls == {"_premise_bindings": 1126, "_canonical_consequent": 64}
+    assert calls == {"_premise_bindings": 353, "_canonical_consequent": 64}
     calls.update(_premise_bindings=0, _canonical_consequent=0)
     closure_level(_KS, 3)
     assert calls["_canonical_consequent"] == 139
     calls.update(_premise_bindings=0, _canonical_consequent=0)
     assert derives(_KS, p("a -> b"), 4) == NotFoundWithinBudget(4)
-    assert calls == {"_premise_bindings": 559, "_canonical_consequent": 139}
+    assert calls == {"_premise_bindings": 219, "_canonical_consequent": 139}
 
 
 def test_later_goal_hits_a_pair_an_earlier_goal_missed(monkeypatch):
-    # a -> b is an instance of K's consequent, so it tries the one pair of
-    # level 1 and misses it; the pair is not built.  The second goal unifies
-    # it again and builds its consequent, which the third goal then shares.
-    # The hit is unified twice, with the goal read rigid and then without
-    # it, so three calls where matching under plain bindings made two.
+    # a -> b is an instance of K's consequent, so it reaches the one pair
+    # of level 1 and misses it; the pair is not built.  It does not unify
+    # the pair: K's antecedent has a where the minor K has an implication,
+    # so the shape masks reject it.  The second goal unifies the pair and
+    # builds its consequent, which the third goal then shares.  The hit is
+    # unified twice, with the goal read rigid and then without it, so two
+    # calls where unifying the rejected pair too made three.
     goals = (p("a -> b"), p("a -> b -> c -> b"), p("(a -> a) -> b -> b -> b"))
     calls = _count_calls(monkeypatch, "_premise_bindings", "_canonical_consequent")
     got = list(find_generators(K_CALC, goals, 1))
-    assert calls == {"_premise_bindings": 3, "_canonical_consequent": 1}
+    assert calls == {"_premise_bindings": 2, "_canonical_consequent": 1}
     (_, first), (_, second), (_, third) = got
     assert first is None and second is third and second.formula is p("x1 -> x2 -> x3 -> x2")
     want = list(_find_generators_reference(K_CALC, goals, 1))
@@ -851,14 +858,24 @@ def test_find_generators_matches_building_every_level(query):
             assert hit.trace == ref.trace
 
 
+_level2 = {}
 _detaching = {}
+
+
+def _level2_formulas(name):
+    """The generators' formulas of closure levels 0..2 of a textbook
+    calculus."""
+    if name not in _level2:
+        gens = closure_level(_TEXTBOOK_DEPTHS[name][0], 2).generators
+        _level2[name] = [g.formula for g in gens]
+    return _level2[name]
 
 
 def _detaching_pairs(name):
     """Each detaching pair of closure levels 0..2 of a textbook calculus:
     the major, the minor and the pair's bindings."""
     if name not in _detaching:
-        fs = [g.formula for g in closure_level(_TEXTBOOK_DEPTHS[name][0], 2).generators]
+        fs = _level2_formulas(name)
         pairs = ((f, m, engine._premise_bindings(f, m)) for f in fs for m in fs)
         _detaching[name] = [pair for pair in pairs if pair[2] is not None]
     return _detaching[name]
@@ -884,11 +901,17 @@ _goal_small = st.recursive(
 
 @st.composite
 def _pair_and_goal(draw):
-    """A detaching pair and a goal: the pair's result, an instance of it, a
-    small formula, or a goal with a repeated variable."""
+    """A detaching pair and a goal drawn by `_goal_from` its result."""
     name = draw(st.sampled_from(sorted(_TEXTBOOK_DEPTHS)))
     major, minor, bound = draw(st.sampled_from(_detaching_pairs(name)))
-    result = engine._canonical_consequent(major, bound)
+    goal = draw(_goal_from(engine._canonical_consequent(major, bound)))
+    return goal, major, minor, bound
+
+
+@st.composite
+def _goal_from(draw, result):
+    """A goal: result, an instance of it, a small formula, or a goal with a
+    repeated variable."""
     names = variables(result)
     kind = draw(st.integers(0, 4))
     if kind == 0:
@@ -905,7 +928,7 @@ def _pair_and_goal(draw):
     else:
         t = draw(_goal_small)
         goal = Imp(t, t)
-    return goal, major, minor, bound
+    return goal
 
 
 @settings(max_examples=500, deadline=None)
@@ -930,6 +953,31 @@ def test_rigid_goal_unification_on_every_detaching_pair(name):
             assert got == want
             hits[got] += 1
     assert hits[True] and hits[False]
+
+
+@st.composite
+def _any_pair_and_goal(draw):
+    """A pair of generators of closure levels 0..2 of a textbook calculus,
+    detaching or not, and a goal drawn by `_goal_from` the pair's result,
+    or from the major's consequent for a pair that does not detach."""
+    name = draw(st.sampled_from(sorted(_TEXTBOOK_DEPTHS)))
+    major = draw(st.sampled_from(_level2_formulas(name)))
+    minor = draw(st.sampled_from(_level2_formulas(name)))
+    bound = engine._premise_bindings(major, minor)
+    result = major.right if bound is None else engine._canonical_consequent(major, bound)
+    return draw(_goal_from(result)), major, minor
+
+
+@settings(max_examples=500, deadline=None)
+@given(_any_pair_and_goal())
+def test_shape_masks_reject_only_pairs_that_do_not_unify(case):
+    # Where the antecedent read under the seed has a goal variable and the
+    # minor an implication, no unifier exists: the goal's variables are
+    # constants.  So a pair the masks reject fails the seeded unification.
+    goal, major, minor = case
+    seed = engine._goal_seed(goal, major)
+    if seed is not None and engine._rigid_mask(major.left, seed) & engine._shape(minor):
+        assert engine._premise_bindings(major, minor, seed) is None
 
 
 def test_traces_do_not_depend_on_read_order():
